@@ -2,12 +2,13 @@
 
 from .arp import ArpRegistry
 from .datapath import ChannelPair, DoorbellChannel, LocalChannel, SharedRegions
-from .engine import Driver
+from .engine import Driver, Link
 from .pod import CXLPod
 
 __all__ = [
     "CXLPod",
     "Driver",
+    "Link",
     "SharedRegions",
     "DoorbellChannel",
     "LocalChannel",

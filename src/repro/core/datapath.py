@@ -31,7 +31,7 @@ from ..channel.ring import RingLayout
 from ..errors import ChannelFullError
 from ..mem.cxl import CXLMemoryPool
 from ..mem.layout import Region, RegionAllocator
-from ..obs.trace import NULL_TRACER
+from ..obs.flow import Observed
 from ..sim.core import _NEAR_WINDOW, Event, Signal, Simulator, USEC
 
 __all__ = ["SharedRegions", "DoorbellChannel", "LocalChannel", "ChannelPair"]
@@ -68,7 +68,7 @@ class SharedRegions:
         return self._allocator.free_bytes
 
 
-class DoorbellChannel:
+class DoorbellChannel(Observed):
     """One-way cross-host channel: non-coherent ring + modelled hop latency.
 
     The *hop* covers what the microbenchmark measures end to end: the
@@ -78,18 +78,9 @@ class DoorbellChannel:
     work).
     """
 
-    tracer = NULL_TRACER
-    # Precomputed dispatch: None while tracing is disabled; rebound to the
-    # live tracer by set_tracer() when the pod enables tracing.
-    _trace = None
     #: queue_view holds visibility timestamps; a future head means drain()
     #: cannot deliver yet (engine loops use this to skip the call).
     timed = True
-
-    def set_tracer(self, tracer) -> None:
-        """Bind a tracer; the hot path keeps a None-or-tracer fast alias."""
-        self.tracer = tracer
-        self._trace = tracer if tracer.enabled else None
 
     def __init__(
         self,
@@ -270,21 +261,14 @@ class _NoCounter:
     _consumed_since_update = 0
 
 
-class LocalChannel:
+class LocalChannel(Observed):
     """Baseline signalling path: a lock-free ring in local DDR (no CXL)."""
 
-    tracer = NULL_TRACER
-    _trace = None
     # Drain-skip views (see DoorbellChannel): a LocalChannel owes nothing
     # when its queue is empty.
     counter_view = _NoCounter
     #: queue_view holds payloads (no timestamps); any entry is drainable now.
     timed = False
-
-    def set_tracer(self, tracer) -> None:
-        """Bind a tracer; the hot path keeps a None-or-tracer fast alias."""
-        self.tracer = tracer
-        self._trace = tracer if tracer.enabled else None
 
     def __init__(self, sim: Simulator, name: str, hop_us: float = 0.25):
         self.sim = sim

@@ -19,13 +19,25 @@ send/yield machinery on the simulator's hottest resume path.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heappush
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
 from ..config import OasisConfig
+from ..obs.flow import Observed
+from ..overload import RetryBudget, WeightedFairScheduler
 from ..sim.core import _NEAR_WINDOW, NSEC, Event, Signal, Simulator
 
-__all__ = ["Driver"]
+__all__ = ["Driver", "Link"]
+
+
+@dataclass
+class Link:
+    """A driver's end of the channel pair to one peer driver (§3.2.2)."""
+
+    name: str    # the peer: device name at a frontend, host name at a backend
+    tx: object   # channel endpoint: this driver -> peer
+    rx: object   # channel endpoint: peer -> this driver
 
 
 def _post_now(sim: Simulator, fn) -> None:
@@ -91,8 +103,26 @@ class _WorkDoorbell(Signal):
             driver._kicked = True
 
 
-class Driver:
-    """Base class for frontend/backend drivers (one dedicated core each)."""
+class Driver(Observed):
+    """Base class for frontend/backend drivers (one dedicated core each).
+
+    Besides the event loop, the base owns the control surface every engine
+    half shares: channel links to peer drivers, overload arming, tenant
+    lanes, the brownout hook and the periodic control tasks.  A subclass
+    keeps only its datapath.
+    """
+
+    #: Frontends queue fresh work through one admission scheduler once
+    #: overload control is armed; backends carry only the retry budget.
+    ADMITS = False
+    # Overload control: None until enable_overload() binds the config, so
+    # disabled runs take the legacy paths unchanged.
+    _overload = None
+    _admission = None     # a frontend's WeightedFairScheduler
+    _retry_rng = None     # overload/<name>/retry, only with backoff jitter
+    # Multi-tenant serving: the armed tenant set, None until
+    # enable_multi_tenant() adds the tenants' lanes to the scheduler.
+    _tenant_specs = None
 
     def __init__(self, sim: Simulator, name: str, config: Optional[OasisConfig] = None):
         self.sim = sim
@@ -104,6 +134,110 @@ class Driver:
         self.wakeups = 0
         self._parked = False   # parked on the doorbell; the next ring wakes
         self._kicked = False   # rung while not parked: one wakeup latched
+        self.control = None    # allocator client, set by the pod
+        self._links: Dict[str, Link] = {}
+        # Per-link drain tuples (link, rx, counter_view, queue_view, timed),
+        # rebuilt on connect: the drain loop runs once per wakeup and these
+        # four attribute chains are invariant for a link's lifetime.
+        self._drain_links: list = []
+        self._monitor_tasks: list = []
+
+    # -- wiring ------------------------------------------------------------------
+
+    def connect(self, link: Link) -> None:
+        """Attach the channel pair to a peer; its RX endpoint wakes us."""
+        self._links[link.name] = link
+        link.rx.bind(self.work)
+        self._drain_links = [
+            (lk, lk.rx, lk.rx.counter_view, lk.rx.queue_view, lk.rx.timed)
+            for lk in self._links.values()
+        ]
+
+    # -- overload control and multi-tenant lanes ------------------------------------
+
+    def enable_overload(self, overload_cfg, rng_factory) -> None:
+        """Arm the retry budget and, on a frontend, the admission scheduler.
+
+        Backoff jitter, when configured, comes from a dedicated substream
+        (``overload/<name>/retry``) of ``rng_factory``, so arming overload
+        control never perturbs workload RNG draws.
+        """
+        self._ovl_rng = rng_factory
+        self._budget = RetryBudget(
+            overload_cfg.retry_budget_ratio,
+            overload_cfg.retry_budget_min,
+            overload_cfg.retry_budget_cap)
+        if overload_cfg.retry_jitter_frac > 0:
+            self._retry_rng = rng_factory.get(f"overload/{self.name}/retry")
+        if self.ADMITS:
+            # Untagged work queues in the scheduler's weight-1 "-" lane: a
+            # depth-capped CoDel queue until tenants add lanes beside it.
+            self._admission = WeightedFairScheduler(
+                overload_cfg.admission_depth,
+                overload_cfg.codel_target_ms * 1e-3,
+                overload_cfg.codel_interval_ms * 1e-3)
+        self._overload = overload_cfg
+
+    def _jittered(self, backoff: float) -> float:
+        """``backoff`` scaled by the configured +/- retry jitter (if any)."""
+        if self._retry_rng is None:
+            return backoff
+        frac = self._overload.retry_jitter_frac
+        return backoff * (1.0 + frac * float(self._retry_rng.uniform(-1.0, 1.0)))
+
+    def enable_multi_tenant(self, tenants) -> None:
+        """Add per-tenant weighted-fair lanes to the admission scheduler.
+
+        ``tenants`` maps tenant name to :class:`~repro.overload.TenantSpec`
+        (weight + optional token-bucket rate guarantee).  Requires
+        ``enable_overload()`` first -- the pod arms both.  Work already
+        queued stays in the ``"-"`` lane; a backend has no scheduler and
+        ignores the call.
+        """
+        if self._overload is None:
+            raise RuntimeError("enable_overload() must be armed before "
+                               "enable_multi_tenant()")
+        if self._admission is None:
+            return
+        for name, spec in tenants.items():
+            self._admission.add_tenant(name, spec)
+        self._tenant_specs = dict(tenants)
+
+    def tenant_stats(self) -> Dict[str, dict]:
+        """Per-tenant scheduling counters (empty until multi-tenant is armed)."""
+        if self._tenant_specs is None:
+            return {}
+        return self._admission.per_tenant()
+
+    def set_brownout(self, level: int) -> None:
+        """Brownout hook: level >= 1 sheds low-priority work at admission."""
+        self.brownout_level = level
+
+    @property
+    def admission_saturation(self) -> float:
+        """Worst admission-lane fullness in [0, 1] (0.0 with overload off)."""
+        if self._admission is None:
+            return 0.0
+        return self._admission.saturation
+
+    # -- periodic control tasks (§3.5) -----------------------------------------------
+
+    def _monitors(self) -> list:
+        """This driver's periodic control tasks as ``(period_s, fn)`` pairs."""
+        return []
+
+    def start_monitors(self) -> None:
+        if self._monitor_tasks:
+            return
+        self._monitor_tasks = [self.sim.every(period, fn)
+                               for period, fn in self._monitors()]
+
+    def stop_monitors(self) -> None:
+        for task in self._monitor_tasks:
+            task.cancel()
+        self._monitor_tasks = []
+
+    # -- event loop ----------------------------------------------------------------
 
     def start(self) -> None:
         if self.running:

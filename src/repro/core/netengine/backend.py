@@ -16,7 +16,6 @@ reports to the pod-wide allocator.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ...config import OasisConfig
@@ -24,25 +23,14 @@ from ...errors import ChannelFullError, DeviceError
 from ...host.host import Host, MemDomain
 from ...mem.layout import FixedPool, Region
 from ...net.packet import BROADCAST_MAC, Frame
-from ...obs.flow import NULL_FLOWS
-from ...obs.trace import NULL_TRACER
 from ...pcie.nic import TX_STATUS_DMA_ABORT, SimNIC
 from ...pcie.queues import Completion, RxDescriptor, TxDescriptor
 from ...sim.core import MSEC, Simulator
-from ..engine import Driver
+from ..engine import Driver, Link
 from .messages import (OP_RX, OP_RX_COMP, OP_TX, OP_TX_COMP, OP_TX_FENCED,
                        NetMessage)
 
-__all__ = ["NetBackend", "FrontendLink"]
-
-
-@dataclass
-class FrontendLink:
-    """Backend's view of one frontend driver it serves."""
-
-    name: str        # frontend host name
-    tx: object       # channel endpoint: backend -> frontend
-    rx: object       # channel endpoint: frontend -> backend
+__all__ = ["NetBackend"]
 
 
 class NetBackend(Driver):
@@ -51,44 +39,6 @@ class NetBackend(Driver):
     TX_ITEM_NS = 100.0
     RX_ITEM_NS = 120.0
     COMP_ITEM_NS = 60.0
-
-    tracer = NULL_TRACER
-    flows = NULL_FLOWS
-    # Precomputed dispatch: None while the facility is disabled; rebound by
-    # set_tracer()/set_flows() when the pod enables tracing / flow tracing.
-    _trace = None
-    _flows = None
-    # Overload control (same pattern): enable_overload() binds a retry
-    # budget so DMA-abort reposts can never exceed a fraction of fresh TX.
-    _overload = None
-    _retry_rng = None
-
-    def set_tracer(self, tracer) -> None:
-        """Bind a tracer; hot paths keep a None-or-tracer fast alias."""
-        self.tracer = tracer
-        self._trace = tracer if tracer.enabled else None
-
-    def set_flows(self, flows) -> None:
-        """Bind a flow registry; hot paths keep a None-or-registry alias."""
-        self.flows = flows
-        self._flows = flows if flows.enabled else None
-
-    def enable_overload(self, overload_cfg, rng_factory) -> None:
-        """Arm the TX retry budget (funded by fresh posts, spent by reposts).
-
-        Backoff jitter, when configured, comes from a dedicated substream
-        (``overload/<name>/retry``) so it never touches workload RNG draws.
-        """
-        from ...overload import RetryBudget
-
-        self._ovl_cfg = overload_cfg
-        self._budget = RetryBudget(
-            overload_cfg.retry_budget_ratio,
-            overload_cfg.retry_budget_min,
-            overload_cfg.retry_budget_cap)
-        if overload_cfg.retry_jitter_frac > 0:
-            self._retry_rng = rng_factory.get(f"overload/{self.name}/retry")
-        self._overload = self._budget
 
     def __init__(
         self,
@@ -106,22 +56,14 @@ class NetBackend(Driver):
         self.rx_domain = rx_domain
         self.tx_buffers_local = tx_buffers_local
         self.rx_pool = FixedPool(rx_region, self.config.datapath.rx_buffer_bytes)
-        self._links: Dict[str, FrontendLink] = {}
-        # Per-link drain tuples (link, rx, counter_view, queue_view, timed),
-        # rebuilt on connect: the drain loop runs once per wakeup and these
-        # four attribute chains are invariant for a link's lifetime.
-        self._drain_links: list = []
         self._registry: Dict[int, str] = {}      # instance ip -> frontend name
         self._tag_to_ip: Dict[int, int] = {}     # NIC flow tag -> instance ip
         self._tx_pending: deque = deque()        # descriptors awaiting ring space
         self._tx_comps: deque = deque()
         self._rx_comps: deque = deque()
         self._fe_retry: deque = deque()          # (fe_name, message) on full ring
-        self.control = None                       # allocator client, set by pod
         self.epochs = None                        # EpochTable, set by pod
         self.fencing_enabled = True
-        self._monitor_task = None
-        self._telemetry_task = None
         self._failure_reported = False
         self._link_down_at: Optional[float] = None
         self._last_tx_bytes = 0
@@ -143,14 +85,6 @@ class NetBackend(Driver):
         self._fill_rx_ring()
 
     # -- wiring --------------------------------------------------------------------
-
-    def connect_frontend(self, link: FrontendLink) -> None:
-        self._links[link.name] = link
-        link.rx.bind(self.work)
-        self._drain_links = [
-            (lk, lk.rx, lk.rx.counter_view, lk.rx.queue_view, lk.rx.timed)
-            for lk in self._links.values()
-        ]
 
     def register_instance(self, ip: int, frontend_name: str) -> Optional[int]:
         """Register an instance's IP with this NIC (flow tagging, §3.3.1)."""
@@ -270,25 +204,7 @@ class NetBackend(Driver):
             self.sim.call_after(5e-6, self.kick)
         return sent, cost
 
-    def _process_frontend_messages(self) -> tuple:
-        cost = 0.0
-        items = 0
-        unpack = NetMessage.unpack
-        for link in self._links.values():
-            payloads, drain_cost = link.rx.drain()
-            cost += drain_cost
-            items += len(payloads)
-            for raw in payloads:
-                message = unpack(raw)
-                if message.opcode == OP_TX:
-                    cost += self._handle_tx(link, message)
-                elif message.opcode == OP_RX_COMP:
-                    cost += self._handle_rx_comp(message)
-                else:
-                    cost += 20.0
-        return items, cost
-
-    def _handle_tx(self, link: FrontendLink, message: NetMessage) -> float:
+    def _handle_tx(self, link: Link, message: NetMessage) -> float:
         if (self.epochs is not None
                 and not self.epochs.check(self.nic.name, message.instance_ip,
                                           message.epoch)):
@@ -369,13 +285,9 @@ class NetBackend(Driver):
                 # surfacing a loss to the frontend.
                 descriptor.retries += 1
                 self.tx_retries += 1
-                backoff_s = (self.config.retry.tx_retry_backoff_us * 1e-6
-                             * 2 ** (descriptor.retries - 1))
-                if self._retry_rng is not None:
-                    # Jitter from the dedicated overload substream only.
-                    frac = self._ovl_cfg.retry_jitter_frac
-                    backoff_s *= 1.0 + frac * float(
-                        self._retry_rng.uniform(-1.0, 1.0))
+                backoff_s = self._jittered(
+                    self.config.retry.tx_retry_backoff_us * 1e-6
+                    * 2 ** (descriptor.retries - 1))
                 self.sim.call_after(backoff_s, self._repost_tx, descriptor)
                 cost += self.COMP_ITEM_NS
                 continue
@@ -471,21 +383,11 @@ class NetBackend(Driver):
 
     # -- control plane (§3.3.3, §3.5) -----------------------------------------------------------
 
-    def start_monitors(self) -> None:
-        """Start the link monitor and telemetry reporting."""
+    def _monitors(self) -> list:
+        """The link monitor and telemetry reporting."""
         cfg = self.config.failover
-        self._monitor_task = self.sim.every(
-            cfg.link_monitor_interval_ms * MSEC, self._check_link
-        )
-        self._telemetry_task = self.sim.every(
-            cfg.telemetry_interval_ms * MSEC, self._send_telemetry
-        )
-
-    def stop_monitors(self) -> None:
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
-        if self._telemetry_task is not None:
-            self._telemetry_task.cancel()
+        return [(cfg.link_monitor_interval_ms * MSEC, self._check_link),
+                (cfg.telemetry_interval_ms * MSEC, self._send_telemetry)]
 
     def _on_link_change(self, up: bool) -> None:
         # Timestamp the physical failure so the detection span covers the

@@ -29,9 +29,8 @@ from ...host.host import Host, MemDomain
 from ...host.instance import Instance
 from ...mem.layout import Region, RegionAllocator
 from ...net.packet import Frame
-from ...obs.flow import NULL_FLOWS
 from ...sim.core import MSEC, NSEC, USEC, Simulator
-from ..engine import Driver
+from ..engine import Driver, Link
 from .messages import (OP_RX, OP_RX_COMP, OP_TX, OP_TX_COMP, OP_TX_FENCED,
                        NetMessage)
 
@@ -39,12 +38,9 @@ __all__ = ["NetFrontend", "VirtualNIC", "BackendLink"]
 
 
 @dataclass
-class BackendLink:
-    """Frontend's view of one backend driver it can reach."""
+class BackendLink(Link):
+    """Frontend's link to one NIC backend, named after the NIC."""
 
-    name: str                   # backend/NIC identifier (e.g. "nic-h0")
-    tx: object                  # channel endpoint: frontend -> backend
-    rx: object                  # channel endpoint: backend -> frontend
     rx_domain: MemDomain        # where this NIC's RX buffer area lives
     nic_mac: int
     remote: bool = True         # False for the colocated-baseline link
@@ -78,74 +74,29 @@ class VirtualNIC:
 
 
 class NetFrontend(Driver):
-    """One frontend driver per host, on a dedicated busy-polling core."""
+    """One frontend driver per host, on a dedicated busy-polling core.
 
-    flows = NULL_FLOWS
-    # Precomputed dispatch: None while flow tracing is disabled; rebound by
-    # set_flows() when the pod enables it.
-    _flows = None
-    # Overload control (same None-alias pattern): enable_overload() binds
-    # the config so the TX admission gate and brownout shedding turn on.
-    _overload = None
+    With overload control armed, TX frames queue in the admission
+    scheduler (depth cap + CoDel per lane); frames tagged with
+    ``frame.meta["tenant"]`` get their own weighted-fair lane once
+    multi-tenant serving is armed.  With it off, a plain FIFO deque.
+    """
+
+    ADMITS = True
     brownout_level = 0
-    # Multi-tenant serving: enable_multi_tenant() swaps the FIFO TX queue
-    # for a per-tenant weighted-fair scheduler keyed off the ``tenant``
-    # field riding Frame.meta; None keeps the legacy paths byte-identical.
-    _tx_wfq = None
-
-    def set_flows(self, flows) -> None:
-        """Bind a flow registry; hot paths keep a None-or-registry alias."""
-        self.flows = flows
-        self._flows = flows if flows.enabled else None
-
-    def enable_overload(self, overload_cfg, rng_factory=None) -> None:
-        """Arm the TX admission gate and brownout frame shedding."""
-        self._overload = overload_cfg
-
-    def enable_multi_tenant(self, tenants) -> None:
-        """Per-tenant weighted-fair TX scheduling (needs overload armed).
-
-        Frames tagged with ``frame.meta["tenant"]`` get their own bounded
-        TX lane (depth cap + CoDel sojourn drop) and are forwarded to the
-        backend in virtual-time weighted-fair order; untagged frames share
-        a weight-1 lane.  Off by default -- the plain FIFO path is
-        untouched until this is called.
-        """
-        if self._overload is None:
-            raise RuntimeError("enable_overload() must be armed before "
-                               "enable_multi_tenant()")
-        from ...overload import WeightedFairScheduler
-
-        cfg = self._overload
-        self._tx_wfq = WeightedFairScheduler(
-            cfg.admission_depth,
-            cfg.codel_target_ms * 1e-3,
-            cfg.codel_interval_ms * 1e-3,
-            tenants=dict(tenants))
-
-    def tenant_stats(self):
-        """Per-tenant TX scheduling counters (empty until armed)."""
-        return {} if self._tx_wfq is None else self._tx_wfq.per_tenant()
-
-    def set_brownout(self, level: int) -> None:
-        """Brownout hook: level >= 1 sheds low-priority frames first."""
-        self.brownout_level = level
 
     @property
     def admission_saturation(self) -> float:
         """Worst congestion signal the brownout controller should see.
 
-        Max of TX-queue fullness vs the admission depth and the cached
+        Max of TX-lane fullness vs the admission depth and the cached
         occupancy of each backend IPC ring (zero-cost, conservatively
         biased full).  0.0 with overload control off, so disabled pods
         never pay for the scan.
         """
-        if self._overload is None:
+        if self._admission is None:
             return 0.0
-        if self._tx_wfq is not None:
-            worst = self._tx_wfq.saturation
-        else:
-            worst = len(self._tx_queue) / self._overload.admission_depth
+        worst = self._admission.saturation
         for link in self._links.values():
             occupancy = getattr(link.tx, "occupancy_cached", 0.0)
             if occupancy > worst:
@@ -167,17 +118,9 @@ class NetFrontend(Driver):
         self.arp = arp
         self._tx_space = RegionAllocator(tx_region)
         self._records: Dict[int, _InstanceRecord] = {}
-        self._links: Dict[str, BackendLink] = {}
-        # Per-link drain tuples (link, rx, counter_view, queue_view, timed),
-        # rebuilt on connect: the drain loop runs once per wakeup and these
-        # four attribute chains are invariant for a link's lifetime.
-        self._drain_links: list = []
         self._tx_queue: deque = deque()          # (ip, Region, packed_size, wire)
         self._tx_pending: Dict[int, tuple] = {}  # buffer addr -> (Region, ip)
         self._retry: deque = deque()             # (link, NetMessage) on full ring
-        # Control-plane client (set by the pod): lease renewal + resync.
-        self.control = None
-        self._telemetry_task = None
         self._resync_inflight: set = set()
         # Counters.
         self.tx_forwarded = 0
@@ -193,15 +136,6 @@ class NetFrontend(Driver):
         self.tx_shed_sojourn = 0     # CoDel drops off a tenant TX lane
 
     # -- wiring -----------------------------------------------------------------
-
-    def connect_backend(self, link: BackendLink) -> None:
-        """Attach a backend link; its RX channel wakes this driver."""
-        self._links[link.name] = link
-        link.rx.bind(self.work)
-        self._drain_links = [
-            (lk, lk.rx, lk.rx.counter_view, lk.rx.queue_view, lk.rx.timed)
-            for lk in self._links.values()
-        ]
 
     def link(self, name: str) -> BackendLink:
         return self._links[name]
@@ -267,37 +201,24 @@ class NetFrontend(Driver):
                 self.flows.stash(region.base, flow)
         store_ns = self.domain.cache.store(region.base, data, category="payload")
         delay = self.config.datapath.ipc_hop_us * USEC + store_ns * NSEC
-        if self._tx_wfq is None:
-            self.sim.call_after(delay, self._ipc_tx_arrive, instance.ip,
-                                region, len(data), frame.wire_size)
-        else:
-            # Multi-tenant: the tenant tag rides Frame.meta across the IPC
-            # hop (the packed bytes drop frame identity).
-            self.sim.call_after(delay, self._ipc_tx_arrive, instance.ip,
-                                region, len(data), frame.wire_size,
-                                frame.meta.get("tenant") if frame.meta
-                                else None)
+        # Multi-tenant: the tenant tag rides Frame.meta across the IPC hop
+        # (the packed bytes drop frame identity).
+        tenant = (frame.meta.get("tenant")
+                  if self._tenant_specs is not None and frame.meta else None)
+        self.sim.call_after(delay, self._ipc_tx_arrive, instance.ip,
+                            region, len(data), frame.wire_size, tenant)
 
     def _ipc_tx_arrive(self, ip: int, region: Region, packed: int, wire: int,
-                       tenant=None) -> None:
-        if self._tx_wfq is not None:
-            if not self._tx_wfq.push(self.sim.now, (ip, region, packed, wire),
-                                     tenant):
-                # The tenant's own TX lane is full: only its excess sheds.
-                self.tx_shed += 1
-                self.tx_shed_queue_full += 1
-                self._drop_tx_frame(ip, region)
-                return
-            if self._flows is not None:
-                flow = self._flows.peek(region.base)
-                if flow is not None:
-                    flow.stage("fe.tx", depth=len(self._tx_wfq))
-            self.kick()
-            return
-        if (self._overload is not None
-                and len(self._tx_queue) >= self._overload.admission_depth):
-            # Bounded admission: the frontend queue is standing-room only,
-            # so shed this frame instead of growing an unbounded backlog.
+                       tenant) -> None:
+        admission = self._admission
+        if admission is None:
+            queue = self._tx_queue
+            queue.append((ip, region, packed, wire))
+        elif admission.push(self.sim.now, (ip, region, packed, wire), tenant):
+            queue = admission
+        else:
+            # Bounded admission: the frame's lane is standing-room only, so
+            # only its own excess sheds instead of growing a backlog.
             self.tx_shed += 1
             self.tx_shed_queue_full += 1
             self._drop_tx_frame(ip, region)
@@ -306,8 +227,7 @@ class NetFrontend(Driver):
         if flows is not None:
             flow = flows.peek(region.base)
             if flow is not None:
-                flow.stage("fe.tx", depth=len(self._tx_queue))
-        self._tx_queue.append((ip, region, packed, wire))
+                flow.stage("fe.tx", depth=len(queue) - 1)
         self.kick()
 
     def _drop_tx_frame(self, ip: int, region: Region) -> None:
@@ -332,7 +252,8 @@ class NetFrontend(Driver):
         # with its own cost accumulator (same float grouping as the call).
         items = 0
         cost = 0.0
-        if self._tx_queue or (self._tx_wfq is not None and len(self._tx_wfq)):
+        if self._tx_queue or (self._admission is not None
+                              and len(self._admission)):
             n, c = self._process_tx()
             items += n
             cost += c
@@ -382,21 +303,23 @@ class NetFrontend(Driver):
         tx_pending = self._tx_pending
         clwb_range = self.domain.cache.clwb_range
         flows = self._flows
-        wfq = self._tx_wfq
+        admission = self._admission
         now = self.sim.now
         while count < batch:
-            if wfq is not None:
-                item, dropped = wfq.pop(now)
+            # The FIFO holds work only while overload is off, or frames
+            # queued before it was armed: those go first.
+            if tx_queue:
+                ip, region, packed, wire = tx_queue.popleft()
+            elif admission is not None:
+                item, dropped = admission.pop(now)
                 for dip, dregion, _dpacked, _dwire in dropped:
-                    # CoDel front-drop off an overlong tenant TX lane.
+                    # CoDel front-drop off an overlong TX lane.
                     self.tx_shed += 1
                     self.tx_shed_sojourn += 1
                     self._drop_tx_frame(dip, dregion)
                 if item is None:
                     break
                 ip, region, packed, wire = item
-            elif tx_queue:
-                ip, region, packed, wire = tx_queue.popleft()
             else:
                 break
             record = records.get(ip)
@@ -445,38 +368,6 @@ class NetFrontend(Driver):
             self.sim.call_after(5e-6, self.kick)
         return sent, cost
 
-    def _process_backend_messages(self) -> tuple:
-        cost = 0.0
-        items = 0
-        unpack = NetMessage.unpack
-        now_eps = self.sim.now + 1e-12
-        for link, rx, cv, qv, timed in self._drain_links:
-            if cv._consumed_since_update == 0:
-                if not qv or (timed and qv[0] > now_eps):
-                    continue   # drain() would be a no-op
-            payloads, drain_cost = rx.drain()
-            cost += drain_cost
-            items += len(payloads)
-            comp_batch = []
-            for raw in payloads:
-                message = unpack(raw)
-                if message.opcode == OP_TX_COMP:
-                    cost += self._handle_tx_comp(message)
-                elif message.opcode == OP_TX_FENCED:
-                    cost += self._handle_tx_fenced(message)
-                elif message.opcode == OP_RX:
-                    cost += self._handle_rx(link, message)
-                    comp_batch.append(
-                        NetMessage(OP_RX_COMP, 0, message.instance_ip,
-                                   message.buffer_addr)
-                    )
-                else:
-                    cost += 20.0
-            if comp_batch:
-                __, c = self._send_link(link, comp_batch)
-                cost += c
-        return items, cost
-
     def _handle_tx_comp(self, message: NetMessage) -> float:
         entry = self._tx_pending.pop(message.buffer_addr, None)
         if entry is None:
@@ -520,17 +411,12 @@ class NetFrontend(Driver):
 
     # -- control-plane telemetry (lease renewal) -----------------------------------
 
-    def start_monitors(self) -> None:
+    def _monitors(self) -> list:
         """Renew this host's instance leases with the allocator (§3.5)."""
-        if self.control is None or self._telemetry_task is not None:
-            return
-        interval = self.config.failover.telemetry_interval_ms * MSEC
-        self._telemetry_task = self.sim.every(interval, self._send_telemetry)
-
-    def stop_monitors(self) -> None:
-        if self._telemetry_task is not None:
-            self._telemetry_task.cancel()
-            self._telemetry_task = None
+        if self.control is None:
+            return []
+        return [(self.config.failover.telemetry_interval_ms * MSEC,
+                 self._send_telemetry)]
 
     def _send_telemetry(self) -> None:
         if self.control is None:

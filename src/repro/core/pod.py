@@ -50,7 +50,8 @@ from ..sim.rng import RngFactory
 from .allocator import AllocatorClient, PodAllocator, ShardedAllocator
 from .arp import ArpRegistry
 from .datapath import ChannelPair, SharedRegions
-from .netengine.backend import FrontendLink, NetBackend
+from .engine import Link
+from .netengine.backend import NetBackend
 from .netengine.frontend import BackendLink, NetFrontend
 from .raft import DirectTransport, RaftNode
 
@@ -126,10 +127,9 @@ class CXLPod:
         bindings.bind_flows(self.metrics, self.flows)
         # Components with precomputed obs dispatch (a _trace/_flows alias
         # that is None while the facility is off).  enable_tracing() /
-        # enable_flow_tracing() re-run the set_* binding on each so aliases
-        # computed while disabled are swapped for the live object.
-        self._traced: list = []
-        self._flowed: list = []
+        # enable_flow_tracing() rebind each so aliases computed while
+        # disabled are swapped for the live object.
+        self._observed: list = []
 
     # -- construction hooks (overridden by RackPod) ---------------------------------
 
@@ -142,24 +142,27 @@ class CXLPod:
         self.allocator.epochs.attach_mirror(
             self.pool, self.regions.alloc(4096, "epoch-meta"))
 
-    def _bind_tracer(self, component) -> None:
-        component.set_tracer(self.tracer)
-        self._traced.append(component)
+    def _observe(self, *components) -> None:
+        for component in components:
+            component.bind_obs(self.tracer, self.flows)
+            self._observed.append(component)
 
-    def _bind_flows(self, component) -> None:
-        component.set_flows(self.flows)
-        self._flowed.append(component)
+    def drivers(self):
+        """Every engine driver: net and storage frontends, then backends."""
+        yield from self.frontends.values()
+        yield from self.storage_frontends.values()
+        yield from self.backends.values()
+        yield from self.storage_backends.values()
 
-    def _arm_overload(self, component, brownout_target: bool = False) -> None:
+    def _arm_overload(self, driver) -> None:
         """Late-join hook: thread overload control into a new driver."""
         if not self._overload_on:
             return
-        component.enable_overload(self._overload_cfg, self.rng)
-        if brownout_target and self.brownout is not None:
-            self.brownout.register(component)
-        if self._tenant_specs is not None and hasattr(component,
-                                                      "enable_multi_tenant"):
-            component.enable_multi_tenant(self._tenant_specs)
+        driver.enable_overload(self._overload_cfg, self.rng)
+        if driver.ADMITS and self.brownout is not None:
+            self.brownout.register(driver)
+        if self._tenant_specs is not None:
+            driver.enable_multi_tenant(self._tenant_specs)
 
     # -- topology ------------------------------------------------------------------
 
@@ -180,7 +183,7 @@ class CXLPod:
                                f"tx-{host.name}-local")
         frontend = NetFrontend(self.sim, host, buffer_domain, tx_region,
                                self.arp, self.config)
-        self._bind_flows(frontend)
+        self._observe(frontend)
         frontend.on_unregister = self._on_migration_unregister
         frontend.control = AllocatorClient(self.sim, self.allocator)
         self.frontends[host.name] = frontend
@@ -192,7 +195,7 @@ class CXLPod:
         bindings.bind_cache(self.metrics, host.local.cache, host.name,
                             domain="ddr")
         bindings.bind_driver(self.metrics, frontend)
-        self._arm_overload(frontend, brownout_target=True)
+        self._arm_overload(frontend)
 
         # Connect the new frontend to every existing backend (oasis mode).
         if self.mode == "oasis":
@@ -225,10 +228,7 @@ class CXLPod:
                              self.config, tx_buffers_local=(self.mode == "local"))
         backend.control = AllocatorClient(self.sim, self.allocator)
         backend.epochs = self.allocator.epochs
-        self._bind_tracer(nic)
-        self._bind_tracer(backend)
-        self._bind_flows(nic)
-        self._bind_flows(backend)
+        self._observe(nic, backend)
         bindings.bind_nic(self.metrics, nic)
         bindings.bind_driver(self.metrics, backend)
         self._arm_overload(backend)
@@ -259,17 +259,14 @@ class CXLPod:
             )
         else:
             pair = ChannelPair.local(self.sim, name)
-        self._bind_tracer(pair.a_to_b)
-        self._bind_tracer(pair.b_to_a)
+        self._observe(pair.a_to_b, pair.b_to_a)
         bindings.bind_channel_pair(self.metrics, pair)
-        frontend.connect_backend(BackendLink(
+        frontend.connect(BackendLink(
             name=backend.nic.name, tx=pair.a_to_b, rx=pair.b_to_a,
             rx_domain=backend.rx_domain, nic_mac=backend.nic.mac,
             remote=frontend.host is not backend.host,
         ))
-        backend.connect_frontend(FrontendLink(
-            name=frontend.host.name, tx=pair.b_to_a, rx=pair.a_to_b,
-        ))
+        backend.connect(Link(frontend.host.name, pair.b_to_a, pair.a_to_b))
 
     # -- instances and clients ----------------------------------------------------------
 
@@ -325,11 +322,10 @@ class CXLPod:
         backend.control = AllocatorClient(self.sim, self.allocator,
                                           storage=True)
         backend.epochs = self.allocator.epochs
-        self._bind_tracer(ssd)
-        self._bind_flows(ssd)
-        self._bind_flows(backend)
+        self._observe(ssd, backend)
         bindings.bind_ssd(self.metrics, ssd)
         bindings.bind_driver(self.metrics, backend)
+        self._arm_overload(backend)
         self.allocator.register_storage_backend(
             backend, self.config.ssd.capacity_bytes / 1e12
         )
@@ -350,11 +346,11 @@ class CXLPod:
 
                 region = Region(12 << 30, 256 << 20, f"sbuf-{host.name}-local")
             frontend = StorageFrontend(self.sim, host, domain, region, self.config)
-            self._bind_flows(frontend)
+            self._observe(frontend)
             frontend.control = AllocatorClient(self.sim, self.allocator)
             frontend.start()
             bindings.bind_driver(self.metrics, frontend)
-            self._arm_overload(frontend, brownout_target=True)
+            self._arm_overload(frontend)
             self.storage_frontends[host.name] = frontend
             self.allocator.register_storage_frontend(host.name, frontend)
         return frontend
@@ -392,11 +388,10 @@ class CXLPod:
                 )
             else:
                 pair = ChannelPair.local(self.sim, f"st-{link_key}")
-            self._bind_tracer(pair.a_to_b)
-            self._bind_tracer(pair.b_to_a)
+            self._observe(pair.a_to_b, pair.b_to_a)
             bindings.bind_channel_pair(self.metrics, pair)
-            frontend.connect_backend(ssd.name, pair.a_to_b, pair.b_to_a)
-            backend.connect_frontend(instance.host.name, pair.b_to_a, pair.a_to_b)
+            frontend.connect(Link(ssd.name, pair.a_to_b, pair.b_to_a))
+            backend.connect(Link(instance.host.name, pair.b_to_a, pair.a_to_b))
         return frontend.make_device(instance, ssd.name, self.config.ssd.block_size)
 
     def add_external_client(self, ip: int, name: Optional[str] = None,
@@ -520,10 +515,10 @@ class CXLPod:
     def enable_overload_control(self, overload=None):
         """Arm overload control across both engines (off by default).
 
-        Threads bounded admission queues, the shared retry budget and
-        per-device circuit breakers into every storage/net frontend and
-        net backend (including ones added later), and -- once fleet
-        telemetry is on -- starts the brownout controller that sheds
+        Arms every driver (including ones added later): each frontend
+        builds its admission scheduler, every driver its retry budget, and
+        storage frontends open per-device circuit breakers.  Once fleet
+        telemetry is on, it also starts the brownout controller that sheds
         low-priority work off the HealthView queue-saturation gauges.
 
         ``overload`` overrides ``config.overload``; either way the config
@@ -539,12 +534,8 @@ class CXLPod:
         cfg.validate()
         self._overload_cfg = cfg
         self._overload_on = True
-        for frontend in self.storage_frontends.values():
-            frontend.enable_overload(cfg, self.rng)
-        for frontend in self.frontends.values():
-            frontend.enable_overload(cfg, self.rng)
-        for backend in self.backends.values():
-            backend.enable_overload(cfg, self.rng)
+        for driver in self.drivers():
+            driver.enable_overload(cfg, self.rng)
         self._start_brownout()
         return cfg
 
@@ -559,10 +550,9 @@ class CXLPod:
             self.sim, self.fleet.view(),
             high=cfg.brownout_high, low=cfg.brownout_low,
             period_s=cfg.brownout_period_s)
-        for frontend in self.storage_frontends.values():
-            self.brownout.register(frontend)
-        for frontend in self.frontends.values():
-            self.brownout.register(frontend)
+        for driver in self.drivers():
+            if driver.ADMITS:
+                self.brownout.register(driver)
         self.brownout.start()
 
     def register_load_source(self, client) -> None:
@@ -577,10 +567,11 @@ class CXLPod:
         ``tenants`` maps tenant name to
         :class:`~repro.overload.TenantSpec` (weight, optional guaranteed
         rate).  Requires overload control -- it is armed implicitly when
-        not already on -- because WFQ replaces the single admission queue.
-        Frontends added later inherit the tenant set via the same
-        late-join hook as overload control.  Off by default: pods that
-        never call this keep the single shared queue and replay
+        not already on -- because the tenant lanes join the admission
+        scheduler it builds; work already queued stays in the untagged
+        ``"-"`` lane.  Frontends added later inherit the tenant set via the
+        same late-join hook as overload control.  Off by default: pods that
+        never call this keep the single untagged lane and replay
         byte-identically.
         """
         from ..overload import TenantSpec
@@ -594,10 +585,8 @@ class CXLPod:
         if not self._overload_on:
             self.enable_overload_control(overload)
         self._tenant_specs = specs
-        for frontend in self.storage_frontends.values():
-            frontend.enable_multi_tenant(specs)
-        for frontend in self.frontends.values():
-            frontend.enable_multi_tenant(specs)
+        for driver in self.drivers():
+            driver.enable_multi_tenant(specs)
         return specs
 
     def register_tenant_client(self, client) -> None:
@@ -617,8 +606,8 @@ class CXLPod:
                                   else None)
         # Swap the precomputed None-dispatch for the live tracer on every
         # component bound while tracing was still off.
-        for component in self._traced:
-            component.set_tracer(self.tracer)
+        for component in self._observed:
+            component.bind_obs(self.tracer, self.flows)
         return self.tracer
 
     def enable_flow_tracing(self, max_records: int = 100_000) -> FlowRegistry:
@@ -628,8 +617,8 @@ class CXLPod:
         self.flows.max_records = max_records
         # Swap the precomputed None-dispatch for the live registry on every
         # component bound while flow tracing was still off.
-        for component in self._flowed:
-            component.set_flows(self.flows)
+        for component in self._observed:
+            component.bind_obs(self.tracer, self.flows)
         return self.flows
 
     def start_telemetry(self, period_s: Optional[float] = None) -> TelemetryScraper:
@@ -690,17 +679,9 @@ class CXLPod:
         return merged
 
     def stop(self) -> None:
-        for driver in (list(self.frontends.values())
-                       + list(self.backends.values())
-                       + list(self.storage_frontends.values())
-                       + list(self.storage_backends.values())):
+        for driver in self.drivers():
             driver.stop()
-        for backend in self.backends.values():
-            backend.stop_monitors()
-        for backend in self.storage_backends.values():
-            backend.stop_monitors()
-        for frontend in self.frontends.values():
-            frontend.stop_monitors()
+            driver.stop_monitors()
         if self.brownout is not None:
             self.brownout.stop()
         self.allocator.stop()

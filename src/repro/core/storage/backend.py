@@ -20,10 +20,9 @@ from typing import Dict, Optional
 from ...config import OasisConfig
 from ...errors import ChannelFullError, DeviceError, DeviceFailedError
 from ...host.host import Host
-from ...obs.flow import NULL_FLOWS
 from ...pcie.queues import Completion, NVMeCommand
 from ...pcie.ssd import NVME_STATUS_FAILED, SimSSD
-from ...sim.core import Simulator
+from ...sim.core import MSEC, Simulator
 from ..engine import Driver
 from .messages import (SOP_COMPLETION, SOP_READ, SOP_WRITE, STATUS_FENCED,
                        StorageMessage)
@@ -35,15 +34,6 @@ class StorageBackend(Driver):
     """One backend driver per pooled SSD."""
 
     ITEM_NS = 150.0
-    flows = NULL_FLOWS
-    # Precomputed dispatch: None while flow tracing is disabled; rebound by
-    # set_flows() when the pod enables it.
-    _flows = None
-
-    def set_flows(self, flows) -> None:
-        """Bind a flow registry; hot paths keep a None-or-registry alias."""
-        self.flows = flows
-        self._flows = flows if flows.enabled else None
 
     def __init__(
         self,
@@ -55,24 +45,17 @@ class StorageBackend(Driver):
         super().__init__(sim, f"sbe-{ssd.name}", config)
         self.host = host
         self.ssd = ssd
-        self._links: Dict[str, tuple] = {}     # frontend host -> (tx, rx)
         self._inflight: Dict[int, str] = {}    # cid -> frontend name
         self._completions: deque = deque()
         self.submitted = 0
         self.errored = 0
         self.fence_rejects = 0    # stale-epoch requests answered STATUS_FENCED
         self.stale_accepted = 0   # stale requests let through (fencing disabled)
-        self.control = None                    # allocator client (set by pod)
         self.epochs = None                     # EpochTable, set by pod
         self.fencing_enabled = True
-        self._telemetry_task = None
         self._last_read_bytes = 0
         self._last_write_bytes = 0
         ssd.on_completion = self._on_ssd_completion
-
-    def connect_frontend(self, name: str, tx, rx) -> None:
-        self._links[name] = (tx, rx)
-        rx.bind(self.work)
 
     @property
     def device_name(self) -> str:
@@ -99,17 +82,16 @@ class StorageBackend(Driver):
         items = 0
         cost = 0.0
         now_eps = self.sim.now + 1e-12
-        for name, (tx, rx) in self._links.items():
-            if rx.counter_view._consumed_since_update == 0:
-                qv = rx.queue_view
-                if not qv or (rx.timed and qv[0] > now_eps):
+        for link, rx, cv, qv, timed in self._drain_links:
+            if cv._consumed_since_update == 0:
+                if not qv or (timed and qv[0] > now_eps):
                     continue   # drain() would be a no-op
             payloads, drain_cost = rx.drain()
             cost += drain_cost
             items += len(payloads)
             unpack = StorageMessage.unpack
             for raw in payloads:
-                cost += self._handle_request(name, unpack(raw))
+                cost += self._handle_request(link.name, unpack(raw))
         if self._completions:
             n, c = self._process_completions()
             items += n
@@ -174,21 +156,13 @@ class StorageBackend(Driver):
 
     # -- control plane: 100 ms telemetry to the allocator (§3.5) -----------------
 
-    def start_monitors(self) -> None:
-        from ...sim.core import MSEC
-
-        interval = self.config.failover.telemetry_interval_ms * MSEC
-        self._telemetry_task = self.sim.every(interval, self._send_telemetry)
-
-    def stop_monitors(self) -> None:
-        if self._telemetry_task is not None:
-            self._telemetry_task.cancel()
+    def _monitors(self) -> list:
+        return [(self.config.failover.telemetry_interval_ms * MSEC,
+                 self._send_telemetry)]
 
     def _send_telemetry(self) -> None:
         if self.control is None:
             return
-        from ...sim.core import MSEC
-
         interval = self.config.failover.telemetry_interval_ms * MSEC
         read_delta = self.ssd.read_bytes - self._last_read_bytes
         write_delta = self.ssd.write_bytes - self._last_write_bytes
@@ -208,7 +182,7 @@ class StorageBackend(Driver):
 
     def _send_completion(self, fe_name: str, request: StorageMessage,
                          status: int) -> None:
-        tx, _ = self._links[fe_name]
+        tx = self._links[fe_name].tx
         if self._flows is not None:
             flow = self._flows.peek(request.buffer_addr)
             if flow is not None:

@@ -17,9 +17,7 @@ from ...config import OasisConfig
 from ...errors import AllocationError, ChannelFullError, DeviceFailedError
 from ...host.host import Host, MemDomain
 from ...mem.layout import Region, RegionAllocator
-from ...obs.flow import NULL_FLOWS
-from ...overload import (AdmissionQueue, CircuitBreaker, RetryBudget,
-                         WeightedFairScheduler)
+from ...overload import CircuitBreaker
 from ...pcie.ssd import NVME_STATUS_FAILED, NVME_STATUS_MEDIA
 from ...sim.core import MSEC, NSEC, USEC, Simulator
 from ..engine import Driver
@@ -79,24 +77,11 @@ class StorageFrontend(Driver):
     """One storage frontend per host, on its own busy-polling core."""
 
     ITEM_NS = 180.0
-    flows = NULL_FLOWS
-    # Precomputed dispatch: None while flow tracing is disabled; rebound by
-    # set_flows() when the pod enables it.
-    _flows = None
-    # Same pattern for overload control: None until enable_overload() binds
-    # the admission queue, so disabled runs take the legacy paths unchanged.
-    _overload = None
-    _retry_rng = None
+    ADMITS = True
     brownout_level = 0
-    # Multi-tenant serving: None until enable_multi_tenant() swaps the
-    # single admission queue for the per-tenant WFQ; then a dict of
+    # Multi-tenant serving: None until enable_multi_tenant() arms it; then
     # per-tenant accounting (tenant -> counter dict).
     _tenants = None
-
-    def set_flows(self, flows) -> None:
-        """Bind a flow registry; hot paths keep a None-or-registry alias."""
-        self.flows = flows
-        self._flows = flows if flows.enabled else None
 
     def __init__(
         self,
@@ -110,7 +95,6 @@ class StorageFrontend(Driver):
         self.host = host
         self.domain = buffer_domain
         self._space = RegionAllocator(buffer_region)
-        self._links: Dict[str, object] = {}        # backend name -> ChannelPair endpoints
         self._pending: Dict[int, dict] = {}        # cid -> request state
         self._next_cid = 1
         self.submitted = 0
@@ -136,15 +120,10 @@ class StorageFrontend(Driver):
         self.giveups = 0
         # Fencing (§3.3.3): per-(backend, instance) epoch stamps put on the
         # wire, refreshed through the allocator after a FENCED rejection.
-        self.control = None                          # allocator client
         self._stamps: Dict[Tuple[str, int], int] = {}
         self._resync_inflight: set = set()
         self.fenced = 0
         self.resyncs = 0
-
-    def connect_backend(self, name: str, tx, rx) -> None:
-        self._links[name] = (tx, rx)
-        rx.bind(self.work)
 
     def make_device(self, instance, backend_name: str, block_size: int
                     ) -> VirtualBlockDevice:
@@ -154,50 +133,20 @@ class StorageFrontend(Driver):
 
     # -- overload control: admission, retry budget, breakers, brownout -----
 
-    def enable_overload(self, overload_cfg, rng_factory) -> None:
-        """Arm admission control, the retry budget and per-device breakers.
-
-        ``rng_factory`` supplies dedicated substreams for breaker probe
-        jitter and (optional) retry backoff jitter -- workload RNG streams
-        are never touched, so enabling overload control cannot perturb
-        arrival processes.
-        """
-        self._ovl_cfg = overload_cfg
-        self._ovl_rng = rng_factory
-        self._admission = AdmissionQueue(
-            overload_cfg.admission_depth,
-            overload_cfg.codel_target_ms * 1e-3,
-            overload_cfg.codel_interval_ms * 1e-3)
-        self._budget = RetryBudget(
-            overload_cfg.retry_budget_ratio,
-            overload_cfg.retry_budget_min,
-            overload_cfg.retry_budget_cap)
-        if overload_cfg.retry_jitter_frac > 0:
-            self._retry_rng = rng_factory.get(f"overload/{self.name}/retry")
-        self._overload = self._admission    # non-None alias gates hot paths
-
     def enable_multi_tenant(self, tenants) -> None:
-        """Swap the single admission queue for per-tenant WFQ.
+        """Per-tenant admission lanes plus per-tenant accounting.
 
-        ``tenants`` maps tenant name to :class:`~repro.overload.TenantSpec`
-        (weight + optional token-bucket rate guarantee).  Requires
-        ``enable_overload()`` first -- the pod arms both.  Requests tagged
-        with a ``tenant`` get their own admission lane; untagged traffic
-        shares a weight-1 lane.
+        Requests tagged with a ``tenant`` get their own admission lane;
+        untagged traffic shares the weight-1 ``"-"`` lane.  Requests
+        already in flight are booked to their tenants as submitted, so each
+        tenant's ledger balances from the moment it is armed.
         """
-        if self._overload is None:
-            raise RuntimeError("enable_overload() must be armed before "
-                               "enable_multi_tenant()")
-        cfg = self._ovl_cfg
-        self._admission = WeightedFairScheduler(
-            cfg.admission_depth,
-            cfg.codel_target_ms * 1e-3,
-            cfg.codel_interval_ms * 1e-3,
-            tenants=dict(tenants))
-        self._overload = self._admission
+        super().enable_multi_tenant(tenants)
         self._tenants = {}
         for name in tenants:
             self._tenant_stats(name)
+        for state in self._pending.values():
+            self._tenant_stats(state["tenant"])["submitted"] += 1
 
     _TENANT_STAT_KEYS = (
         "submitted", "completed_ok", "completed_error", "shed",
@@ -220,19 +169,6 @@ class StorageFrontend(Driver):
                 for name, stats in sorted(self._tenants.items(),
                                           key=lambda kv: str(kv[0]))}
 
-    def set_brownout(self, level: int) -> None:
-        """Brownout hook: level >= 1 sheds background I/O at admission."""
-        self.brownout_level = level
-
-    @property
-    def admission_saturation(self) -> float:
-        """Admission-queue fullness in [0, 1] (0.0 with overload off)."""
-        if self._overload is None:
-            return 0.0
-        if self._tenants is not None:
-            return self._admission.saturation
-        return len(self._admission) / self._ovl_cfg.admission_depth
-
     @property
     def breaker_trips(self) -> int:
         return sum(b.trips for b in self._breakers.values())
@@ -244,7 +180,7 @@ class StorageFrontend(Driver):
     def _breaker_for(self, backend_name: str) -> CircuitBreaker:
         breaker = self._breakers.get(backend_name)
         if breaker is None:
-            cfg = self._ovl_cfg
+            cfg = self._overload
             breaker = CircuitBreaker(
                 cfg.breaker_failure_threshold,
                 cfg.breaker_open_ms * 1e-3,
@@ -263,12 +199,8 @@ class StorageFrontend(Driver):
         if self.brownout_level and state["background"]:
             self._shed(cid, state, "brownout")
             return
-        if self._tenants is None:
-            admitted = self._admission.push(self.sim.now, (cid, message))
-        else:
-            admitted = self._admission.push(self.sim.now, (cid, message),
-                                            state["tenant"])
-        if not admitted:
+        tenant = state["tenant"] if self._tenants is not None else None
+        if not self._admission.push(self.sim.now, (cid, message), tenant):
             self._shed(cid, state, "queue_full")
             return
         self._pump()
@@ -279,7 +211,7 @@ class StorageFrontend(Driver):
             return
         self._pumping = True
         try:
-            while self._launched < self._ovl_cfg.launch_window:
+            while self._launched < self._overload.launch_window:
                 item, dropped = self._admission.pop(self.sim.now)
                 for drop_cid, _msg in dropped:
                     drop_state = self._pending.get(drop_cid)
@@ -423,7 +355,7 @@ class StorageFrontend(Driver):
         return cid
 
     def _enqueue(self, backend_name: str, message: StorageMessage) -> None:
-        tx, _ = self._links[backend_name]
+        tx = self._links[backend_name].tx
         if self._flows is not None:
             flow = self._flows.peek(message.buffer_addr)
             if flow is not None:
@@ -440,10 +372,9 @@ class StorageFrontend(Driver):
         items = 0
         cost = 0.0
         now_eps = self.sim.now + 1e-12
-        for name, (tx, rx) in self._links.items():
-            if rx.counter_view._consumed_since_update == 0:
-                qv = rx.queue_view
-                if not qv or (rx.timed and qv[0] > now_eps):
+        for _link, rx, cv, qv, timed in self._drain_links:
+            if cv._consumed_since_update == 0:
+                if not qv or (timed and qv[0] > now_eps):
                     continue   # drain() would be a no-op
             payloads, drain_cost = rx.drain()
             cost += drain_cost
@@ -500,14 +431,9 @@ class StorageFrontend(Driver):
             flow = self._flows.peek(state["region"].base)
             if flow is not None:
                 flow.stage("sfe.retry", depth=state["retries"])
-        backoff = (self.config.retry.storage_backoff_ms
-                   * self.config.retry.storage_backoff_mult
-                   ** (state["retries"] - 1))
-        if self._retry_rng is not None:
-            # Jitter comes from a dedicated substream (overload/<name>/retry)
-            # so it can never perturb workload RNG draws.
-            frac = self._ovl_cfg.retry_jitter_frac
-            backoff *= 1.0 + frac * float(self._retry_rng.uniform(-1.0, 1.0))
+        backoff = self._jittered(self.config.retry.storage_backoff_ms
+                                 * self.config.retry.storage_backoff_mult
+                                 ** (state["retries"] - 1))
         self.sim.schedule(backoff * MSEC, self._resubmit, cid)
 
     def _resubmit(self, cid: int) -> None:

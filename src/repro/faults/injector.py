@@ -237,20 +237,7 @@ class FaultInjector:
     # Host crash -------------------------------------------------------------
 
     def _host_drivers(self, host) -> list:
-        drivers = []
-        frontend = self.pod.frontends.get(host.name)
-        if frontend is not None:
-            drivers.append(frontend)
-        sfe = self.pod.storage_frontends.get(host.name)
-        if sfe is not None:
-            drivers.append(sfe)
-        for backend in self.pod.backends.values():
-            if backend.host is host:
-                drivers.append(backend)
-        for backend in self.pod.storage_backends.values():
-            if backend.host is host:
-                drivers.append(backend)
-        return drivers
+        return [driver for driver in self.pod.drivers() if driver.host is host]
 
     def _apply_host_crash(self, spec) -> None:
         host = self._host(spec.target)
@@ -259,8 +246,7 @@ class FaultInjector:
                 device.fail("host-crash")
         for driver in self._host_drivers(host):
             driver.stop()
-            if hasattr(driver, "stop_monitors"):
-                driver.stop_monitors()
+            driver.stop_monitors()
         for node in self.pod.raft_nodes:
             if getattr(node, "host", None) is host and node.alive:
                 node.crash()
@@ -274,8 +260,7 @@ class FaultInjector:
                 device.restore()
         for driver in self._host_drivers(host):
             driver.start()
-            if hasattr(driver, "start_monitors"):
-                driver.start_monitors()
+            driver.start_monitors()
             driver.kick()
         for node in self.pod.raft_nodes:
             if getattr(node, "host", None) is host and not node.alive:

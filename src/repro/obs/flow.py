@@ -48,6 +48,7 @@ __all__ = [
     "FlowRecord",
     "FlowRegistry",
     "NULL_FLOWS",
+    "Observed",
 ]
 
 
@@ -295,3 +296,25 @@ class _NullFlowRegistry(FlowRegistry):
 
 #: shared no-op registry; components default to this until a pod wires one
 NULL_FLOWS = _NullFlowRegistry()
+
+
+class Observed:
+    """Mixin for components whose hot paths read a tracer or flow registry.
+
+    ``tracer``/``flows`` are the bound objects; ``_trace``/``_flows`` are
+    the fast aliases the hot paths test, ``None`` while the facility is
+    disabled.  The pod calls :meth:`bind_obs` when it builds a component
+    and again on every component it built when ``enable_tracing()`` or
+    ``enable_flow_tracing()`` turns a facility on later.
+    """
+
+    tracer = NULL_TRACER
+    flows = NULL_FLOWS
+    _trace = None
+    _flows = None
+
+    def bind_obs(self, tracer, flows) -> None:
+        self.tracer = tracer
+        self._trace = tracer if tracer.enabled else None
+        self.flows = flows
+        self._flows = flows if flows.enabled else None

@@ -1,10 +1,12 @@
 """Per-tenant weighted-fair queueing for the multi-tenant serving layer.
 
-PR 9's single :class:`~repro.overload.admission.AdmissionQueue` protects a
+A single :class:`~repro.overload.admission.AdmissionQueue` protects a
 frontend from aggregate overload but cannot isolate tenants: one noisy
 neighbour fills the shared queue and every tenant's requests sit behind its
-backlog.  :class:`WeightedFairScheduler` replaces that single queue when a
-pod arms multi-tenant serving:
+backlog.  :class:`WeightedFairScheduler` is each frontend's one admission
+scheduler once overload control is armed.  Untagged work shares its
+weight-1 ``"-"`` lane, which on its own behaves exactly like that single
+queue; arming multi-tenant serving adds a lane per tenant beside it:
 
 * each tenant gets its **own** :class:`AdmissionQueue` (depth cap + CoDel
   front-drop apply per tenant, so a noisy neighbour sheds *its own* excess,
@@ -136,7 +138,8 @@ class WeightedFairScheduler:
                                       self.target_s, self.interval_s)
 
     def _tenant(self, name: Optional[str]) -> _Tenant:
-        # Untagged (or unknown) traffic shares one weight-1 "-" lane.
+        # Untagged traffic shares the weight-1 "-" lane; each tenant name
+        # not registered through add_tenant() gets its own weight-1 lane.
         key = name if name is not None else "-"
         tenant = self._tenants.get(key)
         if tenant is None:

@@ -17,8 +17,7 @@ from typing import Callable, Dict, Optional
 
 from ..config import SSDConfig
 from ..errors import DeviceError
-from ..obs.flow import NULL_FLOWS
-from ..obs.trace import NULL_TRACER
+from ..obs.flow import Observed
 from ..sim.core import Simulator, USEC
 from .device import PCIeDevice
 from .queues import Completion, DescriptorRing, NVMeCommand
@@ -34,25 +33,8 @@ NVME_STATUS_FAILED = 0x06  # internal device error
 NVME_STATUS_LBA_RANGE = 0x80
 
 
-class SimSSD(PCIeDevice):
+class SimSSD(PCIeDevice, Observed):
     """A host-attached NVMe SSD pooled by the Oasis storage engine."""
-
-    tracer = NULL_TRACER
-    flows = NULL_FLOWS
-    # Precomputed dispatch: None while the facility is disabled; rebound by
-    # set_tracer()/set_flows() when the pod enables tracing / flow tracing.
-    _trace = None
-    _flows = None
-
-    def set_tracer(self, tracer) -> None:
-        """Bind a tracer; the command hot path keeps a None-or-tracer alias."""
-        self.tracer = tracer
-        self._trace = tracer if tracer.enabled else None
-
-    def set_flows(self, flows) -> None:
-        """Bind a flow registry; the hot path keeps a None-or-registry alias."""
-        self.flows = flows
-        self._flows = flows if flows.enabled else None
 
     def __init__(
         self,

@@ -394,3 +394,87 @@ class TestPodIntegration:
         assert len(spans) == 4
         assert sum(s["dur"] for s in spans) / 1e3 == pytest.approx(
             res["failover_phase_sum_ms"])
+
+    @pytest.mark.parametrize("mode", ["oasis", "local"])
+    def test_one_binding_reaches_every_component(self, mode):
+        from repro.core.datapath import DoorbellChannel, LocalChannel
+        from repro.core.pod import CXLPod
+        from repro.net.packet import make_ip
+
+        pod = CXLPod(mode=mode)
+        host = pod.add_host()
+        nic = pod.add_nic(host)
+        ssd = pod.add_ssd(host)
+        inst = pod.add_instance(host, ip=make_ip(10, 0, 0, 1))
+        pod.add_block_device(inst, ssd)
+        tracer = pod.enable_tracing()
+        flows = pod.enable_flow_tracing()
+        # Components built after enabling bind straight to the live objects.
+        late_host = pod.add_host()
+        late_nic = pod.add_nic(late_host)
+        late_ssd = pod.add_ssd(late_host)
+        late_inst = pod.add_instance(late_host, ip=make_ip(10, 0, 0, 2),
+                                     nic=late_nic)
+        pod.add_block_device(late_inst, late_ssd)
+        drivers = list(pod.drivers())
+        channels = [link.tx for driver in drivers
+                    for link in driver._links.values()]
+        assert len(drivers) == 8
+        assert {type(c) for c in channels} == {
+            DoorbellChannel if mode == "oasis" else LocalChannel}
+        for component in [nic, ssd, late_nic, late_ssd, *drivers, *channels]:
+            assert component._trace is tracer, component
+            assert component._flows is flows, component
+        pod.stop()
+
+
+#: (driver, op) labels of ``driver_ops`` on the net+storage pod below.  A
+#: class default hoisted onto the shared Driver base would add series to
+#: drivers that never exported them; this pins the set.
+_NET_FE_OPS = {"brownout_level", "resyncs", "rx_delivered",
+               "rx_unknown_instance", "tx_fenced", "tx_forwarded",
+               "tx_no_buffer", "tx_shed", "tx_shed_brownout",
+               "tx_shed_queue_full", "tx_shed_sojourn"}
+_DRIVER_OPS = {
+    "fe-h0": _NET_FE_OPS,
+    "fe-h1": _NET_FE_OPS,
+    "be-nic-h0": {"fence_rejects", "retry_budget_denied",
+                  "rx_dropped_unknown", "rx_fallback_inspections",
+                  "rx_forwarded", "stale_accepted", "tx_giveups",
+                  "tx_posted", "tx_retries"},
+    "sfe-h1": {"breaker_trips", "breakers_open", "brownout_level",
+               "completed_error", "completed_ok", "fenced", "giveups",
+               "resyncs", "retries", "retry_budget_denied", "shed",
+               "shed_breaker", "shed_brownout", "shed_queue_full",
+               "shed_sojourn", "submitted", "timeouts"},
+    "sbe-ssd-h0-1": {"fence_rejects", "stale_accepted", "submitted"},
+}
+
+
+@pytest.mark.parametrize("arm", ["off", "overload", "tenants"])
+def test_driver_metric_label_sets_are_pinned(arm):
+    from repro.core.pod import CXLPod
+    from repro.net.packet import make_ip
+    from repro.overload import TenantSpec
+
+    pod = CXLPod(mode="oasis")
+    h0 = pod.add_host()
+    h1 = pod.add_host()
+    pod.add_nic(h0)
+    ssd = pod.add_ssd(h0)
+    inst = pod.add_instance(h1, ip=make_ip(10, 0, 0, 1))
+    pod.add_block_device(inst, ssd)
+    if arm == "overload":
+        pod.enable_overload_control()
+    elif arm == "tenants":
+        pod.enable_multi_tenant({"t": TenantSpec(weight=2.0)})
+    ops, depths = {}, set()
+    for sample in pod.metrics.collect():
+        labels = dict(sample.labels)
+        if sample.name == "driver_ops":
+            ops.setdefault(labels["driver"], set()).add(labels["op"])
+        elif sample.name == "device_queue_depth":
+            depths.add(labels["device"])
+    pod.stop()
+    assert ops == _DRIVER_OPS
+    assert depths == {"nic-h0", "ssd-h0-1"}

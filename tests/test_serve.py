@@ -15,7 +15,7 @@ import pytest
 from repro.config import OasisConfig
 from repro.core.pod import CXLPod
 from repro.experiments.serve import run_serve, weighted_fair_share
-from repro.net.packet import make_ip
+from repro.net.packet import Frame, make_ip
 from repro.overload import TenantSpec
 from repro.workloads.echo import EchoClient, EchoServer
 from repro.workloads.tenants import SERVE_PROFILES, TenantClient, TenantProfile
@@ -172,7 +172,7 @@ class TestOffByDefault:
         assert frontend._tenants is None
         assert frontend.tenant_stats() == {}
         net = pod.frontends[h1.name]
-        assert net._tx_wfq is None
+        assert net._admission is None
         assert net.tenant_stats() == {}
         pod.stop()
 
@@ -182,7 +182,7 @@ class TestOffByDefault:
         pod.add_nic(h0)
         pod.enable_multi_tenant({"t": TenantSpec(weight=2.0)})
         assert pod._overload_on
-        assert pod.frontends[h0.name]._tx_wfq is not None
+        assert "t" in pod.frontends[h0.name].tenant_stats()
         pod.stop()
 
     def test_late_joining_frontends_inherit_the_tenant_set(self):
@@ -194,9 +194,61 @@ class TestOffByDefault:
         ssd = pod.add_ssd(h0)
         inst = pod.add_instance(h1, ip=SERVER_IP)
         pod.add_block_device(inst, ssd)
-        assert pod.frontends[h1.name]._tx_wfq is not None
+        assert "t" in pod.frontends[h1.name].tenant_stats()
         assert pod.storage_frontends[h1.name]._tenants is not None
         pod.stop()
+
+
+class TestArmingOnALiveFrontend:
+    """Regression: arming multi-tenant serving on a frontend with queued
+    work used to swap the admission queue out together with its contents,
+    stranding those requests (and frames) forever."""
+
+    def test_queued_storage_requests_complete_and_books_balance(self):
+        base = OasisConfig()
+        config = base.with_(
+            seed=7, ssd=replace(base.ssd, bandwidth_gbps=0.04),
+            overload=replace(base.overload, launch_window=2))
+        pod = CXLPod(config=config, mode="oasis")
+        h0 = pod.add_host()
+        h1 = pod.add_host()
+        pod.add_nic(h0)
+        ssd = pod.add_ssd(h0)
+        inst = pod.add_instance(h1, ip=SERVER_IP)
+        device = pod.add_block_device(inst, ssd)
+        pod.enable_overload_control()
+        checker = pod.check_invariants()
+        statuses = []
+        for lba in range(64):
+            device.read(lba, 1, lambda status, _data: statuses.append(status))
+        pod.run(0.0002)                 # untagged reads queued, 2 launched
+        pod.enable_multi_tenant({"t": TenantSpec(weight=2.0)})
+        pod.run(0.5)
+        verdict = checker.finish()
+        pod.stop()
+        assert verdict.ok, verdict.render()
+        assert statuses == [0] * 64
+        assert pod.storage_frontends[h1.name].inflight == 0
+
+    def test_queued_net_frames_are_forwarded(self):
+        pod = CXLPod(config=OasisConfig().with_(seed=9), mode="oasis")
+        h0 = pod.add_host()
+        h1 = pod.add_host()
+        pod.add_nic(h0)
+        inst = pod.add_instance(h1, ip=SERVER_IP)
+        pod.add_external_client(ip=CLIENT_IP)
+        pod.enable_overload_control()
+        for _ in range(200):            # > one 64-frame TX batch
+            inst.send_frame(Frame(dst_mac=0, src_mac=0, src_ip=SERVER_IP,
+                                  dst_ip=CLIENT_IP, src_port=1, dst_port=2,
+                                  payload=b"x" * 32))
+        pod.run(1e-6)                   # the first batch is on its way
+        pod.enable_multi_tenant({"t": TenantSpec(weight=2.0)})
+        pod.run(0.05)
+        pod.stop()
+        net = pod.frontends[h1.name]
+        assert net.tx_forwarded == 200
+        assert net.tx_shed == net.tx_no_buffer == 0
 
 
 class TestNetTxWfq:
