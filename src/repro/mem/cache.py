@@ -25,19 +25,67 @@ and payload move goes through it), so the single-line cases -- 16 B messages,
 per-line link accounting writes straight into this host's
 :class:`~repro.mem.cxl.LinkStats` tables instead of re-resolving them per
 operation.
+
+Spans of a few lines or more (a 4 KiB storage block is 64) take a *run path*
+where the per-line loop would only repeat one case.  The run checks the span
+once (``keys().isdisjoint`` answers "nothing resident"), moves every line
+with one list build plus one ``dict.update`` or ``b"".join``, and bumps
+:class:`CacheStats` and ``LinkStats`` once by ``n``.  It is an exact
+stand-in for the loop:
+
+* costs are summed in loop order (``0.0 + first + step + ...``, memoised per
+  ``(first, step, n)``), never as ``n * ns``, so the floats are bit-identical;
+* new lines are inserted in span order, the insertion order the loop leaves.
+
+The runs are: a load over lines none of which is resident (from
+``_COPY_RUN_LINES`` lines); a whole-line store, a CLFLUSH or a DMA snoop over
+lines none of which is resident (from ``_RUN_LINES``); and a CLWB over the
+leading resident dirty lines of a span whose first and last lines are both
+dirty, the loop taking the rest (from ``_CLWB_RUN_LINES``).  Everything else
+takes the loop: shorter spans (there the run's set-up costs more than it
+saves), a bounded cache (LRU touches and evictions interleave with the
+lines), an installed ``writeback_hook`` or an armed writeback fault, a
+partial-line store, and any other span that mixes resident with absent or
+dirty with clean lines.  A mixed span pays only the check that turns it
+away: an ``isdisjoint`` that stops at the first resident line, and for CLWB
+two line lookups.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat, takewhile
+from operator import attrgetter
 from typing import Optional, Tuple
 
 from ..config import CACHE_LINE, CacheTimings
 from ..errors import MemoryFault
-from .cxl import CXLMemoryPool, lines_spanned
+from .cxl import _RUN_LINES, _ZERO_LINE, CXLMemoryPool, lines_spanned
 
 __all__ = ["HostCache", "CacheStats"]
+
+#: measured crossovers that differ from ``_RUN_LINES``: a load miss copies
+#: every line out, so its run overtakes the loop sooner; a CLWB run sets up
+#: more (finding the dirty prefix, clearing each line's dirty bit)
+_COPY_RUN_LINES = 4
+_CLWB_RUN_LINES = 12
+
+_DATA = attrgetter("data")
+_DIRTY = attrgetter("dirty")
+
+
+@lru_cache(maxsize=256)
+def _run_cost(first: float, step: float, n: int) -> float:
+    """The cost the per-line loop sums: ``0.0 + first + step + ... + step``
+    over ``n`` lines, added in that order so the result is bit-identical."""
+    if n <= 0:
+        return 0.0
+    cost = 0.0 + first
+    for _ in range(n - 1):
+        cost += step
+    return cost
 
 
 @dataclass
@@ -69,6 +117,10 @@ class _Line:
     def __init__(self, data: bytearray, dirty: bool = False):
         self.data = data
         self.dirty = dirty
+
+
+#: stands in for an absent line where a run reads ``dirty`` (never stored).
+_ABSENT = _Line(bytearray(0))
 
 
 class HostCache:
@@ -167,8 +219,14 @@ class HostCache:
         """CPU load of ``size`` bytes.  Returns ``(data, cost_ns)``.
 
         Cached lines are served from the cache *even if stale* -- staleness is
-        the caller's problem, exactly as on real non-coherent CXL 2.0.
+        the caller's problem, exactly as on real non-coherent CXL 2.0.  A
+        range outside the pool raises :class:`MemoryFault` before any side
+        effect.
         """
+        pool = self.pool
+        if addr < 0 or addr + size > pool.size:
+            raise MemoryFault(
+                f"access [{addr}, {addr + size}) outside pool of {pool.size} B")
         t = self.timings
         index = addr // CACHE_LINE
         offset = addr - index * CACHE_LINE
@@ -178,8 +236,7 @@ class HostCache:
             stats = self.stats
             if line is None:
                 # _fill, inlined (this is the hottest miss path in the sim).
-                pool = self.pool
-                if index < 0 or (index + 1) * CACHE_LINE > pool.size:
+                if (index + 1) * CACHE_LINE > pool.size:
                     raise MemoryFault(
                         f"access [{index * CACHE_LINE}, {(index + 1) * CACHE_LINE}) "
                         f"outside pool of {pool.size} B")
@@ -202,6 +259,23 @@ class HostCache:
                 stats.hits += 1
                 cost = 0.0 + t.cache_hit_ns
             return bytes(line.data[offset:offset + size]), cost
+        end = (addr + size - 1) // CACHE_LINE + 1
+        n = end - index
+        if n >= _COPY_RUN_LINES and not self._track_lru and \
+                end * CACHE_LINE <= pool.size:
+            span = range(index, end)
+            lines = self._lines
+            if lines.keys().isdisjoint(span):
+                # Every line misses: fill them all in span order.
+                get = pool._lines.get
+                bufs = [bytearray(get(i, _ZERO_LINE)) for i in span]
+                lines.update(zip(span, map(_Line, bufs)))
+                self._account(False, category, CACHE_LINE * n)
+                self.stats.misses += n
+                data = b"".join(bufs)
+                if offset or size != n * CACHE_LINE:
+                    data = data[offset:offset + size]
+                return data, _run_cost(t.cxl_load_ns, t.cxl_stream_ns, n)
         out = bytearray(size)
         cost = 0.0
         pos = 0
@@ -235,9 +309,17 @@ class HostCache:
         return bytes(out), cost
 
     def store(self, addr: int, data: bytes, category: str = "payload") -> float:
-        """CPU store (write-allocate).  Dirty data stays local until CLWB."""
-        t = self.timings
+        """CPU store (write-allocate).  Dirty data stays local until CLWB.
+
+        A range outside the pool raises :class:`MemoryFault` before any side
+        effect -- even a full-line store, which needs no read-for-ownership.
+        """
         size = len(data)
+        if addr < 0 or addr + size > self.pool.size:
+            raise MemoryFault(
+                f"access [{addr}, {addr + size}) outside pool of "
+                f"{self.pool.size} B")
+        t = self.timings
         index = addr // CACHE_LINE
         offset = addr - index * CACHE_LINE
         if offset + size <= CACHE_LINE:
@@ -254,7 +336,7 @@ class HostCache:
                 else:
                     # _fill (read-for-ownership), inlined.
                     pool = self.pool
-                    if index < 0 or (index + 1) * CACHE_LINE > pool.size:
+                    if (index + 1) * CACHE_LINE > pool.size:
                         raise MemoryFault(
                             f"access [{index * CACHE_LINE}, "
                             f"{(index + 1) * CACHE_LINE}) "
@@ -280,6 +362,18 @@ class HostCache:
             line.dirty = True
             self.stats.stores += 1
             return cost + t.store_ns
+        n = size // CACHE_LINE
+        if n >= _RUN_LINES and not offset and size == n * CACHE_LINE and \
+                not self._track_lru and \
+                self._lines.keys().isdisjoint(range(index, index + n)):
+            # Whole lines, none resident: no read-for-ownership, so every
+            # line is a fresh dirty line costing one store.
+            self._lines.update(zip(
+                range(index, index + n),
+                [_Line(bytearray(data[o:o + CACHE_LINE]), True)
+                 for o in range(0, size, CACHE_LINE)]))
+            self.stats.stores += n
+            return _run_cost(t.store_ns, t.store_ns, n)
         cost = 0.0
         pos = 0
         first_miss = True
@@ -370,9 +464,31 @@ class HostCache:
         pool_size = pool.size
         pool_lines = pool._lines
         stats = self.stats
-        wr = self._wr
+        span = lines_spanned(addr, size)
         cost = 0.0
-        for i in lines_spanned(addr, size):
+        if len(span) >= _CLWB_RUN_LINES and \
+                span.stop * CACHE_LINE <= pool_size:
+            if lines.keys().isdisjoint(span):
+                return _run_cost(issue_ns, issue_ns, len(span))
+            # Run over the leading lines that are resident and dirty (an
+            # absent line reads as clean); the loop takes the rest.  Only a
+            # span dirty at both ends pays for finding where that prefix ends.
+            first = lines.get(span.start)
+            last = lines.get(span.stop - 1)
+            if first is not None and first.dirty and \
+                    last is not None and last.dirty:
+                run = list(takewhile(_DIRTY, map(lines.get, span,
+                                                 repeat(_ABSENT))))
+                k = len(run)
+                pool_lines.update(zip(span, map(bytearray, map(_DATA, run))))
+                for line in run:
+                    line.dirty = False
+                self._account(True, category, CACHE_LINE * k)
+                stats.writebacks += k
+                cost = _run_cost(clwb_ns, clwb_ns, k)
+                span = span[k:]
+        wr = self._wr
+        for i in span:
             line = lines.get(i)
             if line is None or not line.dirty:
                 cost += issue_ns
@@ -486,9 +602,13 @@ class HostCache:
         pool_size = pool.size
         pool_lines = pool._lines
         stats = self.stats
+        span = lines_spanned(addr, size)
+        n = len(span)
+        if n >= _RUN_LINES and lines.keys().isdisjoint(span):
+            return _run_cost(per_line_ns, per_line_ns, n)
         wr = self._wr
         cost = 0.0
-        for i in lines_spanned(addr, size):
+        for i in span:
             line = lines.pop(i, None)
             if line is not None:
                 if line.dirty:
@@ -535,8 +655,11 @@ class HostCache:
 
     def snoop_dma_write(self, addr: int, size: int) -> float:
         """Called when a *local* device DMA-writes: invalidate our copies."""
+        span = lines_spanned(addr, size)
+        if len(span) >= _RUN_LINES and self._lines.keys().isdisjoint(span):
+            return 0.0
         cost = 0.0
-        for index in lines_spanned(addr, size):
+        for index in span:
             if self._lines.pop(index, None) is not None:
                 self.stats.dma_write_snoop_hits += 1
                 cost += self.timings.clflush_issue_ns
@@ -544,8 +667,11 @@ class HostCache:
 
     def snoop_dma_read(self, addr: int, size: int) -> float:
         """Called when a *local* device DMA-reads: flush our dirty data."""
+        span = lines_spanned(addr, size)
+        if len(span) >= _RUN_LINES and self._lines.keys().isdisjoint(span):
+            return 0.0
         cost = 0.0
-        for index in lines_spanned(addr, size):
+        for index in span:
             line = self._lines.get(index)
             if line is not None and line.dirty:
                 self.pool.write_line(index, bytes(line.data))

@@ -15,12 +15,20 @@ regenerates Table 3's bandwidth breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..config import CACHE_LINE, CXLConfig
 from ..errors import MemoryFault
 
 __all__ = ["CXLMemoryPool", "LinkStats", "line_index", "line_base", "lines_spanned"]
+
+#: shortest span (in lines) that moves as one run rather than a per-line
+#: loop, here and in :class:`~repro.mem.cache.HostCache`.  Below it the
+#: run's fixed set-up costs more than the loop it replaces: the measured
+#: crossover for a DMA write and for stores, CLFLUSH and snoops.
+_RUN_LINES = 8
+_ZERO_LINE = bytes(CACHE_LINE)
 
 
 def line_index(addr: int) -> int:
@@ -158,27 +166,20 @@ class CXLMemoryPool:
         declared wire size when padding bytes are not physically stored).
         """
         self._check(addr, size)
-        out = bytearray(size)
-        lines = self._lines
-        pos = 0
-        while pos < size:
-            cursor = addr + pos
-            index = cursor >> 6
-            offset = cursor & 63
-            take = CACHE_LINE - offset
-            rest = size - pos
-            if rest < take:
-                take = rest
-            line = lines.get(index)
-            if line is not None:
-                out[pos:pos + take] = line[offset:offset + take]
-            pos += take
+        # One join over the spanned lines: every pool line is exactly 64 B
+        # (write_line enforces it; every other writer stores whole lines).
+        data = b"".join(map(self._lines.get,
+                            range(addr >> 6, ((addr + size - 1) >> 6) + 1),
+                            repeat(_ZERO_LINE)))
+        offset = addr & 63
+        if offset or len(data) != size:
+            data = data[offset:offset + size]
         nbytes = account_bytes if account_bytes is not None else (
             0 if size <= 0 else
             ((addr + size - 1) // CACHE_LINE - addr // CACHE_LINE + 1) * CACHE_LINE
         )
         self._account(host, "read", category, nbytes)
-        return bytes(out)
+        return data
 
     def dma_write(self, addr: int, data: bytes, host: Optional[str] = None,
                   category: str = "payload",
@@ -187,21 +188,29 @@ class CXLMemoryPool:
         size = len(data)
         self._check(addr, size)
         lines = self._lines
-        pos = 0
-        while pos < size:
-            cursor = addr + pos
-            index = cursor >> 6
-            offset = cursor & 63
-            take = CACHE_LINE - offset
-            rest = size - pos
-            if rest < take:
-                take = rest
-            line = lines.get(index)
-            if line is None:
-                line = bytearray(CACHE_LINE)
-                lines[index] = line
-            line[offset:offset + take] = data[pos:pos + take]
-            pos += take
+        if size >= _RUN_LINES * CACHE_LINE and not addr & 63 and \
+                not size & 63:
+            # Run path: whole lines only, so every line is replaced outright
+            # (every reader copies pool lines; none holds one across calls).
+            lines.update(zip(range(addr >> 6, (addr + size) >> 6),
+                             [bytearray(data[o:o + CACHE_LINE])
+                              for o in range(0, size, CACHE_LINE)]))
+        else:
+            pos = 0
+            while pos < size:
+                cursor = addr + pos
+                index = cursor >> 6
+                offset = cursor & 63
+                take = CACHE_LINE - offset
+                rest = size - pos
+                if rest < take:
+                    take = rest
+                line = lines.get(index)
+                if line is None:
+                    line = bytearray(CACHE_LINE)
+                    lines[index] = line
+                line[offset:offset + take] = data[pos:pos + take]
+                pos += take
         nbytes = account_bytes if account_bytes is not None else (
             0 if size <= 0 else
             ((addr + size - 1) // CACHE_LINE - addr // CACHE_LINE + 1) * CACHE_LINE

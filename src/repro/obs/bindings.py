@@ -33,7 +33,7 @@ name                       labels                          source
 
 from __future__ import annotations
 
-from .metrics import MetricsRegistry, Sample, labels_key
+from .metrics import LabelsKey, MetricsRegistry, Sample, labels_key
 
 __all__ = [
     "bind_sim",
@@ -70,8 +70,32 @@ CHANNEL_OP_FIELDS = (
 )
 
 
-def _sample(name, value, **labels) -> Sample:
-    return Sample(name, labels_key(labels), float(value))
+def _sample(name, value, key: LabelsKey = ()) -> Sample:
+    return Sample(name, key, float(value))
+
+
+class _Keys(dict):
+    """Canonical label keys of one metric family, built on first sight.
+
+    ``keys[value]`` is ``labels_key`` of the family's fixed labels plus
+    ``label=value``.  Canonicalising (sort and stringify) costs more than the
+    sample, and a collector yields the same label sets on every scrape; so
+    each key is built the first time its value appears and reused after, and
+    every snapshot shares the key tuples.  The fixed labels' pairs are built
+    once and shared by all of the family's keys.
+    """
+
+    __slots__ = ("label", "fixed")
+
+    def __init__(self, label: str, **fixed):
+        super().__init__()
+        self.label = label
+        self.fixed = labels_key(fixed)
+
+    def __missing__(self, value) -> LabelsKey:
+        key = self[value] = tuple(sorted(
+            self.fixed + ((self.label, str(value)),)))
+        return key
 
 
 def bind_sim(registry: MetricsRegistry, sim) -> None:
@@ -111,14 +135,18 @@ def bind_scraper(registry: MetricsRegistry, scraper) -> None:
 def bind_pool(registry: MetricsRegistry, pool) -> None:
     """Export a :class:`CXLMemoryPool`'s per-host ``LinkStats``."""
 
+    links = {}      # (host, direction) -> keys by category
+
     def collect():
         for host, stats in pool.link_stats.items():
-            for category, nbytes in stats.read_bytes.items():
-                yield _sample("cxl_link_bytes", nbytes, host=host,
-                              direction="read", category=category)
-            for category, nbytes in stats.write_bytes.items():
-                yield _sample("cxl_link_bytes", nbytes, host=host,
-                              direction="write", category=category)
+            for direction, table in (("read", stats.read_bytes),
+                                     ("write", stats.write_bytes)):
+                keys = links.get((host, direction))
+                if keys is None:
+                    keys = links[host, direction] = _Keys(
+                        "category", host=host, direction=direction)
+                for category, nbytes in table.items():
+                    yield _sample("cxl_link_bytes", nbytes, keys[category])
 
     registry.register_collector(collect)
 
@@ -127,13 +155,15 @@ def bind_cache(registry: MetricsRegistry, cache, host: str,
                domain: str = "cxl") -> None:
     """Export one :class:`HostCache`'s ``CacheStats`` plus its line count."""
 
+    ops = _Keys("op", host=host, domain=domain)
+    resident = labels_key({"host": host, "domain": domain})
+
     def collect():
         stats = cache.stats
         for op in CACHE_OP_FIELDS:
-            yield _sample("cache_ops", getattr(stats, op), host=host,
-                          domain=domain, op=op)
+            yield _sample("cache_ops", getattr(stats, op), ops[op])
         yield _sample("cache_lines_resident", cache.cached_line_count,
-                      host=host, domain=domain)
+                      resident)
 
     registry.register_collector(collect)
 
@@ -142,10 +172,11 @@ def bind_channel_endpoint(registry: MetricsRegistry, counters, channel: str,
                           role: str) -> None:
     """Export one ``ChannelCounters`` (sender or receiver side)."""
 
+    ops = _Keys("op", channel=channel, role=role)
+
     def collect():
         for op in CHANNEL_OP_FIELDS:
-            yield _sample("channel_ops", getattr(counters, op),
-                          channel=channel, role=role, op=op)
+            yield _sample("channel_ops", getattr(counters, op), ops[op])
 
     registry.register_collector(collect)
 
@@ -164,73 +195,64 @@ def bind_channel_pair(registry: MetricsRegistry, pair) -> None:
 
 
 def bind_nic(registry: MetricsRegistry, nic) -> None:
-    host = nic.host.name
+    name, host = nic.name, nic.host.name
+    direction = _Keys("direction", device=name, host=host)
+    reason = _Keys("reason", device=name, host=host)
+    device = labels_key({"device": name, "host": host})
 
     def collect():
-        name = nic.name
-        yield _sample("nic_frames", nic.tx_frames, device=name, host=host,
-                      direction="tx")
-        yield _sample("nic_frames", nic.rx_frames, device=name, host=host,
-                      direction="rx")
-        yield _sample("nic_bytes", nic.tx_bytes, device=name, host=host,
-                      direction="tx")
-        yield _sample("nic_bytes", nic.rx_bytes, device=name, host=host,
-                      direction="rx")
+        yield _sample("nic_frames", nic.tx_frames, direction["tx"])
+        yield _sample("nic_frames", nic.rx_frames, direction["rx"])
+        yield _sample("nic_bytes", nic.tx_bytes, direction["tx"])
+        yield _sample("nic_bytes", nic.rx_bytes, direction["rx"])
         yield _sample("nic_dropped_frames", nic.rx_dropped_no_buffer,
-                      device=name, host=host, reason="no_buffer")
+                      reason["no_buffer"])
         yield _sample("nic_dropped_frames", nic.rx_dropped_down,
-                      device=name, host=host, reason="link_down")
-        yield _sample("nic_link_up", 1.0 if nic.link_up else 0.0,
-                      device=name, host=host)
-        yield _sample("device_aer_errors", nic.aer.total(), device=name,
-                      host=host)
-        yield _sample("nic_tx_completions", nic.tx_completions, device=name,
-                      host=host)
-        yield _sample("nic_dma_aborts", nic.dma_aborts, device=name,
-                      host=host)
+                      reason["link_down"])
+        yield _sample("nic_link_up", 1.0 if nic.link_up else 0.0, device)
+        yield _sample("device_aer_errors", nic.aer.total(), device)
+        yield _sample("nic_tx_completions", nic.tx_completions, device)
+        yield _sample("nic_dma_aborts", nic.dma_aborts, device)
 
     registry.register_collector(collect)
 
 
 def bind_ssd(registry: MetricsRegistry, ssd) -> None:
-    host = ssd.host.name
+    name, host = ssd.name, ssd.host.name
+    op = _Keys("op", device=name, host=host)
+    device = labels_key({"device": name, "host": host})
 
     def collect():
-        name = ssd.name
-        yield _sample("ssd_ops", ssd.reads, device=name, host=host, op="read")
-        yield _sample("ssd_ops", ssd.writes, device=name, host=host, op="write")
-        yield _sample("ssd_bytes", ssd.read_bytes, device=name, host=host,
-                      op="read")
-        yield _sample("ssd_bytes", ssd.write_bytes, device=name, host=host,
-                      op="write")
-        yield _sample("device_aer_errors", ssd.aer.total(), device=name,
-                      host=host)
-        yield _sample("ssd_completions", ssd.completions, device=name,
-                      host=host)
-        yield _sample("ssd_media_errors", ssd.media_errors, device=name,
-                      host=host)
+        yield _sample("ssd_ops", ssd.reads, op["read"])
+        yield _sample("ssd_ops", ssd.writes, op["write"])
+        yield _sample("ssd_bytes", ssd.read_bytes, op["read"])
+        yield _sample("ssd_bytes", ssd.write_bytes, op["write"])
+        yield _sample("device_aer_errors", ssd.aer.total(), device)
+        yield _sample("ssd_completions", ssd.completions, device)
+        yield _sample("ssd_media_errors", ssd.media_errors, device)
 
     registry.register_collector(collect)
 
 
 def bind_switch(registry: MetricsRegistry, switch) -> None:
+    event = _Keys("event", switch=switch.name)
+    port_keys = _Keys("port", switch=switch.name)
+
     def collect():
-        name = switch.name
-        yield _sample("switch_frames", switch.forwarded_frames, switch=name,
-                      event="forwarded")
-        yield _sample("switch_frames", switch.flooded_frames, switch=name,
-                      event="flooded")
-        yield _sample("switch_frames", switch.fault_dropped, switch=name,
-                      event="fault_dropped")
-        yield _sample("switch_frames", switch.fault_duplicated, switch=name,
-                      event="fault_duplicated")
+        yield _sample("switch_frames", switch.forwarded_frames,
+                      event["forwarded"])
+        yield _sample("switch_frames", switch.flooded_frames,
+                      event["flooded"])
+        yield _sample("switch_frames", switch.fault_dropped,
+                      event["fault_dropped"])
+        yield _sample("switch_frames", switch.fault_duplicated,
+                      event["fault_duplicated"])
         for port_id, port in switch.ports.items():
-            yield _sample("switch_port_tx_frames", port.tx_frames,
-                          switch=name, port=str(port_id))
-            yield _sample("switch_port_tx_bytes", port.tx_bytes,
-                          switch=name, port=str(port_id))
+            key = port_keys[str(port_id)]
+            yield _sample("switch_port_tx_frames", port.tx_frames, key)
+            yield _sample("switch_port_tx_bytes", port.tx_bytes, key)
             yield _sample("switch_port_dropped_frames", port.dropped_frames,
-                          switch=name, port=str(port_id))
+                          key)
 
     registry.register_collector(collect)
 
@@ -255,22 +277,24 @@ _DRIVER_EXTRA_FIELDS = (
 
 def bind_driver(registry: MetricsRegistry, driver) -> None:
     """Export a busy-polling :class:`Driver`'s loop and datapath counters."""
+    me = labels_key({"driver": driver.name})
+    ops = _Keys("op", driver=driver.name)
+    devices = _Keys("device")
 
     def collect():
-        name = driver.name
-        yield _sample("driver_busy_ns", driver.busy_ns, driver=name)
-        yield _sample("driver_wakeups", driver.wakeups, driver=name)
+        yield _sample("driver_busy_ns", driver.busy_ns, me)
+        yield _sample("driver_wakeups", driver.wakeups, me)
         for op in _DRIVER_EXTRA_FIELDS:
             value = getattr(driver, op, None)
             if value is not None:
-                yield _sample("driver_ops", value, driver=name, op=op)
+                yield _sample("driver_ops", value, ops[op])
         depth = getattr(driver, "queue_depth", None)
         if depth is not None:
             # Backends expose live device-queue occupancy (NIC TX ring +
             # overflow backlog, SSD submission queue); fleet health turns
             # this into queue saturation vs the configured depth.
             yield _sample("device_queue_depth", depth,
-                          device=driver.device_name)
+                          devices[driver.device_name])
 
     registry.register_collector(collect)
 
@@ -281,60 +305,52 @@ def bind_tenant_client(registry: MetricsRegistry, client) -> None:
     One ``tenant_requests`` family keyed by (tenant, result); fleet health
     turns the deltas into per-tenant SLO-burn and shed-rate gauges.
     """
+    result = _Keys("result", tenant=client.tenant)
 
     def collect():
-        tenant = client.tenant
         stats = client.stats
-        yield _sample("tenant_requests", stats.submitted,
-                      tenant=tenant, result="submitted")
-        yield _sample("tenant_requests", stats.completed_ok,
-                      tenant=tenant, result="ok")
-        yield _sample("tenant_requests", stats.shed,
-                      tenant=tenant, result="shed")
-        yield _sample("tenant_requests", stats.errors,
-                      tenant=tenant, result="error")
+        yield _sample("tenant_requests", stats.submitted, result["submitted"])
+        yield _sample("tenant_requests", stats.completed_ok, result["ok"])
+        yield _sample("tenant_requests", stats.shed, result["shed"])
+        yield _sample("tenant_requests", stats.errors, result["error"])
         yield _sample("tenant_requests", client.slo_violations,
-                      tenant=tenant, result="slo_violation")
+                      result["slo_violation"])
 
     registry.register_collector(collect)
 
 
 def bind_allocator(registry: MetricsRegistry, allocator) -> None:
+    event = _Keys("event")
+    nics = _Keys("device", kind="nic")
+    ssds = _Keys("device", kind="ssd")
+
     def collect():
         yield _sample("allocator_events", allocator.failovers_executed,
-                      event="failover")
+                      event["failover"])
         yield _sample("allocator_events", allocator.migrations_executed,
-                      event="migration")
+                      event["migration"])
         yield _sample("allocator_telemetry_records",
                       allocator.telemetry_store.records_ingested)
         yield _sample("allocator_events", allocator.lease_expirations,
-                      event="lease_expiry")
+                      event["lease_expiry"])
         yield _sample("allocator_events", allocator.duplicate_reports,
-                      event="duplicate_report")
+                      event["duplicate_report"])
         yield _sample("allocator_events", allocator.failover_no_backup,
-                      event="failover_no_backup")
+                      event["failover_no_backup"])
         yield _sample("allocator_pending_commands",
                       allocator.pending_commands)
         yield _sample("fence_epoch_grants", allocator.epochs.grants)
         yield _sample("fence_epoch_revokes", allocator.epochs.revokes)
         yield _sample("notify_delivered", allocator.notify.delivered)
         yield _sample("notify_dropped", allocator.notify.dropped)
-        for device in allocator.devices.values():
-            yield _sample("allocator_device_allocated", device.allocated,
-                          device=device.name, kind="nic")
-            yield _sample("allocator_device_capacity", device.capacity,
-                          device=device.name, kind="nic")
-            yield _sample("allocator_device_failed",
-                          1.0 if device.failed else 0.0,
-                          device=device.name, kind="nic")
-        for device in allocator.storage_devices.values():
-            yield _sample("allocator_device_allocated", device.allocated,
-                          device=device.name, kind="ssd")
-            yield _sample("allocator_device_capacity", device.capacity,
-                          device=device.name, kind="ssd")
-            yield _sample("allocator_device_failed",
-                          1.0 if device.failed else 0.0,
-                          device=device.name, kind="ssd")
+        for devices, keys in ((allocator.devices, nics),
+                              (allocator.storage_devices, ssds)):
+            for dev in devices.values():
+                key = keys[dev.name]
+                yield _sample("allocator_device_allocated", dev.allocated, key)
+                yield _sample("allocator_device_capacity", dev.capacity, key)
+                yield _sample("allocator_device_failed",
+                              1.0 if dev.failed else 0.0, key)
 
     registry.register_collector(collect)
 
@@ -365,21 +381,24 @@ def bind_flows(registry: MetricsRegistry, flows) -> None:
 def bind_injector(registry: MetricsRegistry, injector) -> None:
     """Export a :class:`~repro.faults.injector.FaultInjector`'s event counts."""
 
+    kinds = _Keys("kind")
+
     def collect():
         for kind, count in injector.injected.items():
-            yield _sample("fault_injected", count, kind=kind)
+            yield _sample("fault_injected", count, kinds[kind])
         for kind, count in injector.recovered.items():
-            yield _sample("fault_recovered", count, kind=kind)
+            yield _sample("fault_recovered", count, kinds[kind])
 
     registry.register_collector(collect)
 
 
 def bind_raft_node(registry: MetricsRegistry, node) -> None:
+    me = labels_key({"node": node.node_id})
+
     def collect():
-        name = node.node_id
-        yield _sample("raft_term", node.current_term, node=name)
-        yield _sample("raft_commit_index", node.commit_index, node=name)
+        yield _sample("raft_term", node.current_term, me)
+        yield _sample("raft_commit_index", node.commit_index, me)
         yield _sample("raft_is_leader", 1.0 if node.state == "leader" else 0.0,
-                      node=name)
+                      me)
 
     registry.register_collector(collect)

@@ -7,8 +7,10 @@ cached lines, and intra-host DMA snooping.
 
 import pytest
 
-from repro.config import CACHE_LINE
-from repro.mem.cache import HostCache
+from repro.config import CACHE_LINE, CXLConfig
+from repro.errors import MemoryFault
+from repro.mem.cache import CacheStats, HostCache
+from repro.mem.cxl import CXLMemoryPool
 
 
 class TestBasics:
@@ -254,3 +256,57 @@ class TestDmaSnoop:
         a, _ = cache_pair
         assert a.snoop_dma_read(0, 64) == 0.0
         assert a.snoop_dma_write(0, 64) == 0.0
+
+
+class TestOutOfPoolAccess:
+    """CPU loads and stores outside the pool fault before any side effect.
+
+    A full-line store, or a store to an already-resident line, used to skip
+    the bounds check: on a 4096 B pool, lines 64 and -1 became resident and
+    dirty, a later ``load(-64, 64)`` hit the bogus line, and only a CLWB of it
+    raised.
+    """
+
+    @pytest.fixture
+    def tiny(self):
+        return HostCache(CXLMemoryPool(CXLConfig(), size=4096), "h")
+
+    @pytest.mark.parametrize("addr,size", [
+        (4096, 64), (-64, 64), (4064, 64), (-8, 16), (4032, 128),
+        (3968, 256),
+    ])
+    def test_store_outside_pool_faults_untouched(self, tiny, addr, size):
+        with pytest.raises(MemoryFault):
+            tiny.store(addr, bytes(size))
+        assert tiny.cached_line_count == 0
+        assert tiny.stats == CacheStats()
+        assert tiny.pool.total_traffic() == 0
+
+    @pytest.mark.parametrize("addr,size", [
+        (4096, 64), (-64, 64), (4090, 8), (-1, 1), (3968, 256),
+    ])
+    def test_load_outside_pool_faults_untouched(self, tiny, addr, size):
+        with pytest.raises(MemoryFault):
+            tiny.load(addr, size)
+        assert tiny.cached_line_count == 0
+        assert tiny.stats == CacheStats()
+
+    def test_no_bogus_line_for_a_later_load_to_hit(self, tiny):
+        with pytest.raises(MemoryFault):
+            tiny.store(-64, b"x" * 64)
+        with pytest.raises(MemoryFault):
+            tiny.load(-64, 64)
+        assert tiny.stats.hits == 0
+
+    def test_resident_line_does_not_excuse_an_overrun(self, tiny):
+        tiny.store(4032, b"a" * 64)          # last line, now resident
+        with pytest.raises(MemoryFault):
+            tiny.store(4032, b"b" * 128)     # runs one line past the end
+        assert tiny.load(4032, 64)[0] == b"a" * 64
+        assert tiny.stats.stores == 1
+
+    def test_edges_of_the_pool_still_work(self, tiny):
+        tiny.store(0, b"a" * 64)
+        tiny.store(4032, b"z" * 64)
+        assert tiny.load(4032, 64)[0] == b"z" * 64
+        assert tiny.load(0, 4096)[0][:64] == b"a" * 64

@@ -363,6 +363,26 @@ class TestPodIntegration:
         assert client.rtt_hist.observations == client.stats.latencies_us
         assert client.rtt_hist.count == client.stats.received
 
+    def test_scrapes_reuse_canonical_label_keys(self):
+        # Collectors canonicalise each label set once: every key equals
+        # labels_key of its labels, and the next scrape hands back the very
+        # same tuples, so the snapshots a scraper retains share them.
+        pod, client = self._echo_pod()
+        client.start(0.02)
+        pod.run(0.03)
+        first, second = pod.metrics.collect(), pod.metrics.collect()
+        pod.stop()
+        assert [(s.name, s.labels) for s in first] == \
+            [(s.name, s.labels) for s in second]
+        bound = [(a, b) for a, b in zip(first, second) if a.labels
+                 and not a.name.endswith(("_bucket", "_count", "_sum"))]
+        assert {a.name for a, _ in bound} >= {
+            "cxl_link_bytes", "cache_ops", "channel_ops", "nic_frames",
+            "driver_ops", "switch_frames", "allocator_device_allocated"}
+        for a, b in bound:
+            assert a.labels == labels_key(dict(a.labels))
+            assert a.labels is b.labels, a
+
     def test_scraper_runs_inside_pod(self):
         pod, client = self._echo_pod()
         pod.start_telemetry(period_s=0.02)
